@@ -10,8 +10,10 @@
              packet-loss nondet wan sizes loss ablation pipesweep all
              (default)
    [sqlidx] compares the indexed point/range SELECT workloads against the
-   forced-scan baseline and exits non-zero unless the indexed point
-   stream clears 5x the baseline's virtual TPS.
+   forced-scan baseline and exits non-zero if the indexed point stream
+   falls below 5x the baseline's virtual TPS, or if one engine over a
+   pages-backed VFS allocates more than 150 KB of heap per indexed point
+   SELECT on the 6,400-row lookup table.
    [pipeline] runs the 64-client null workload serial and with an 8-deep
    agreement pipeline on 4 virtual cores, and exits non-zero unless the
    pipelined run clears 2x both the serial baseline and the Table-1
@@ -199,9 +201,45 @@ let run_hostbench () =
 let run_digest () =
   Printf.printf "trace digest: %s\n%!" (Harness.Hostbench.trace_digest ~seed:!seed ())
 
+(* Heap bytes one database allocates per indexed point SELECT, alone (no
+   cluster), with its main file mapped onto a state region the way a
+   replica's is (§3.2) and the 6,400-row lookup table loaded. *)
+let point_select_alloc () =
+  let app_pages = 512 in
+  let pages = Statemgr.Pages.create ~page_size:Relsql.Pager.page_size ~num_pages:app_pages () in
+  let cost = ref 0.0 in
+  let db =
+    Relsql.Database.open_db
+      {
+        Relsql.Vfs.main =
+          Relsql.Pbft_service.pages_file pages ~first_page:0 ~app_pages
+            ~disk:(Simdisk.Disk.create ()) ~cost;
+        journal = Some (Relsql.Vfs.heap_file ());
+        time = (fun () -> 0.0);
+        random = (fun () -> 0L);
+        cost;
+      }
+  in
+  List.iter
+    (fun sql -> ignore (Relsql.Database.exec_exn db sql))
+    (Relsql.Pbft_service.lookup_schema :: Relsql.Pbft_service.lookup_index_sql
+    :: Harness.Experiments.lookup_fill_sql ());
+  let select k =
+    ignore (Relsql.Database.exec_exn db (Relsql.Pbft_service.point_select_sql ~key:(k mod 256)))
+  in
+  select 0;
+  let n = 512 in
+  let before = Gc.allocated_bytes () in
+  for k = 1 to n do
+    select k
+  done;
+  (Gc.allocated_bytes () -. before) /. float_of_int n
+
 (* Access-path comparison with a pass/fail gate: the identical point-
    SELECT stream, indexed versus forced scan, must differ by at least 5x
-   in virtual TPS and by an order of magnitude in pages per operation. *)
+   in virtual TPS and by an order of magnitude in pages per operation;
+   and a lone engine's point SELECT must stay under its allocation
+   budget. *)
 let run_sqlidx () =
   banner "SQL access paths — indexed vs forced scan";
   let dur = if !quick then 0.3 else !duration in
@@ -225,9 +263,15 @@ let run_sqlidx () =
     else 0.0
   in
   Printf.printf "  indexed point vs forced scan: %.1fx virtual TPS\n%!" speedup;
+  let alloc = point_select_alloc () in
+  Printf.printf "  engine-only point SELECT: %.1f KB allocated\n%!" (alloc /. 1024.0);
   if speedup < 5.0 then begin
     Printf.eprintf "FAIL: indexed point workload is %.1fx the forced-scan baseline (need >= 5x)\n"
       speedup;
+    exit 1
+  end;
+  if alloc > 150.0 *. 1024.0 then begin
+    Printf.eprintf "FAIL: a point SELECT allocates %.1f KB (limit 150 KB)\n" (alloc /. 1024.0);
     exit 1
   end
 

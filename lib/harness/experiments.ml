@@ -319,9 +319,9 @@ let figure3 ?(seed = 1) () =
   let wrap name (f : Relsql.Vfs.file) =
     {
       Relsql.Vfs.read =
-        (fun ~pos ~len ->
+        (fun ~pos ~len into ->
           log "xRead  %-7s pos=%-6d len=%d" name pos len;
-          f.Relsql.Vfs.read ~pos ~len);
+          f.Relsql.Vfs.read ~pos ~len into);
       write =
         (fun ~pos s ->
           log "xWrite %-7s pos=%-6d len=%d" name pos (String.length s);

@@ -12,6 +12,8 @@ type t = {
   mutable catalog_root : int;
   mutable header_dirty : bool;  (** header fields changed this txn; image written at commit *)
   mutable touched : (int, unit) Hashtbl.t;
+  scratch : Bytes.t;
+      (** the one page buffer every page read lands in; see {!read_page} *)
 }
 
 (* --- header --- *)
@@ -25,13 +27,14 @@ let header_image t =
   let s = Util.Codec.W.contents w in
   s ^ String.make (page_size - String.length s) '\000'
 
+let u32_at b pos = Int32.to_int (Bytes.get_int32_le b pos) land 0xffff_ffff
+let has_magic image = String.equal (Bytes.sub_string image 0 8) magic
+
 let parse_header t image =
-  let r = Util.Codec.R.of_string image in
-  let m = Util.Codec.R.string r 8 in
-  if m <> magic then raise (Corrupt "bad magic");
-  t.page_count <- Util.Codec.R.u32 r;
-  t.freelist <- Util.Codec.R.u32 r;
-  t.catalog_root <- Util.Codec.R.u32 r
+  if not (has_magic image) then raise (Corrupt "bad magic");
+  t.page_count <- u32_at image 8;
+  t.freelist <- u32_at image 12;
+  t.catalog_root <- u32_at image 16
 
 (* --- journal file format: u32 count, then (u32 page, page image)* --- *)
 
@@ -43,9 +46,9 @@ let journal_reset jf =
 let journal_count jf =
   if jf.Vfs.size () < 4 then 0
   else begin
-    let s = jf.Vfs.read ~pos:0 ~len:4 in
-    Char.code s.[0] lor (Char.code s.[1] lsl 8) lor (Char.code s.[2] lsl 16)
-    lor (Char.code s.[3] lsl 24)
+    let b = Bytes.create 4 in
+    jf.Vfs.read ~pos:0 ~len:4 b;
+    u32_at b 0
   end
 
 let journal_append jf index page image =
@@ -60,31 +63,44 @@ let journal_append jf index page image =
 
 let journal_record jf index =
   let pos = 4 + (index * (4 + page_size)) in
-  let hdr = jf.Vfs.read ~pos ~len:4 in
-  let page =
-    Char.code hdr.[0] lor (Char.code hdr.[1] lsl 8) lor (Char.code hdr.[2] lsl 16)
-    lor (Char.code hdr.[3] lsl 24)
-  in
-  (page, jf.Vfs.read ~pos:(pos + 4) ~len:page_size)
+  let hdr = Bytes.create 4 in
+  jf.Vfs.read ~pos ~len:4 hdr;
+  let image = Bytes.create page_size in
+  jf.Vfs.read ~pos:(pos + 4) ~len:page_size image;
+  (u32_at hdr 0, Bytes.unsafe_to_string image)
 
 (* --- page access --- *)
 
 let touch t page = Hashtbl.replace t.touched page ()
 
-let raw_read t page =
+let read_into t page buf =
   let pos = page * page_size in
-  if pos + page_size <= t.vfs.Vfs.main.size () then t.vfs.Vfs.main.read ~pos ~len:page_size
-  else String.make page_size '\000'
+  if pos + page_size <= t.vfs.Vfs.main.size () then t.vfs.Vfs.main.read ~pos ~len:page_size buf
+  else Bytes.fill buf 0 page_size '\000'
+
+(* A private copy of a page image, for images the pager keeps (journaled
+   originals). [b] never escapes, so it becomes the string uncopied. *)
+let raw_read t page =
+  let b = Bytes.create page_size in
+  read_into t page b;
+  Bytes.unsafe_to_string b
+
+(* Page reads land in the one scratch buffer and hand it out borrowed: a
+   B-tree search reads pages without allocating. The image stays valid
+   only until the next pager call.
+
+   The quiet variant is for callers that may decide after looking at the
+   content that no real work happened (e.g. the B-tree skipping a
+   lazily-emptied leaf): it reads without recording an application page
+   touch, to be charged explicitly with [touch_page] if warranted. *)
+let read_page_quiet t page =
+  read_into t page t.scratch;
+  t.scratch
 
 let read_page t page =
   touch t page;
-  raw_read t page
+  read_page_quiet t page
 
-(* For callers that may decide after looking at the content that no real
-   work happened (e.g. the B-tree skipping a lazily-emptied leaf): read
-   without recording an application page touch, and charge it explicitly
-   with [touch_page] if warranted. *)
-let read_page_quiet = raw_read
 let touch_page = touch
 
 let write_page t page image =
@@ -128,9 +144,7 @@ let allocate_page t =
   let page =
     if t.freelist <> 0 then begin
       let p = t.freelist in
-      let img = read_page t p in
-      let r = Util.Codec.R.of_string img in
-      t.freelist <- Util.Codec.R.u32 r;
+      t.freelist <- u32_at (read_page t p) 0;
       p
     end
     else begin
@@ -202,8 +216,8 @@ let rollback t =
 
 let refresh t =
   if t.txn then invalid_arg "Pager.refresh: inside a transaction";
-  let img = raw_read t 0 in
-  if String.length img >= 8 && String.sub img 0 8 = magic then parse_header t img
+  let img = read_page_quiet t 0 in
+  if has_magic img then parse_header t img
 
 let pages_touched t = Hashtbl.length t.touched
 
@@ -225,6 +239,7 @@ let open_pager vfs =
       catalog_root = 0;
       header_dirty = false;
       touched = Hashtbl.create 64;
+      scratch = Bytes.create page_size;
     }
   in
   (* Hot-journal recovery: roll uncommitted changes back before reading
@@ -243,14 +258,10 @@ let open_pager vfs =
   | None -> ());
   (* A database is fresh if the file is empty or — for a sparse region
      declared "large enough" up front (§3.2) — page 0 carries no magic. *)
-  let fresh =
-    vfs.Vfs.main.size () = 0
-    || (let img = raw_read t 0 in
-        String.length img < 8 || String.sub img 0 8 <> magic)
-  in
+  let fresh = vfs.Vfs.main.size () = 0 || not (has_magic (read_page_quiet t 0)) in
   if fresh then begin
     vfs.Vfs.main.write ~pos:0 (header_image t);
     vfs.Vfs.main.sync ()
   end
-  else parse_header t (raw_read t 0);
+  else parse_header t (read_page_quiet t 0);
   t

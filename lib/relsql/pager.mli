@@ -1,9 +1,10 @@
-(** Page cache and transaction manager over the VFS.
+(** Page access and transaction manager over the VFS.
 
     The database file is an array of 4096-byte pages. Page 0 is the
-    header (magic, page count, freelist head, catalog root). All reads
-    and writes go through the cache; the first modification of a page
-    inside a transaction journals its original image, giving SQLite-style
+    header (magic, page count, freelist head, catalog root). There is no
+    page cache: a read copies the page out of the VFS into one reused
+    buffer, and writes go straight through. The first modification of a
+    page inside a transaction journals its original image, giving SQLite-style
     rollback-journal ACID (§3.2). Without a journal (no-ACID mode) writes
     land directly and only crash consistency is lost — the configuration
     the paper's §4.2 compares against. *)
@@ -19,9 +20,13 @@ val open_pager : Vfs.t -> t
 (** Opens (creating/initializing if empty) and — if a hot journal is
     present — runs crash recovery by rolling the journal back. *)
 
-val read_page : t -> int -> string
+val read_page : t -> int -> Bytes.t
+(** The page's image, borrowed: every read lands in one buffer owned by
+    the pager, so the result is valid only until the next call into this
+    pager (any read, write, allocation or free). A caller that needs the
+    image across such a call must copy it. Callers must not mutate it. *)
 
-val read_page_quiet : t -> int -> string
+val read_page_quiet : t -> int -> Bytes.t
 (** Like {!read_page} but without recording an application page touch —
     for callers that inspect a page and only sometimes do real work with
     it (charge it explicitly with {!touch_page} when they do). *)

@@ -61,9 +61,9 @@ let pages_file pages ~first_page ~app_pages ~(disk : Simdisk.Disk.t) ~cost =
   let capacity = app_pages * page_size in
   {
     Vfs.read =
-      (fun ~pos ~len ->
+      (fun ~pos ~len into ->
         if pos + len > capacity then invalid_arg "pbft vfs: read past region";
-        Statemgr.Pages.read pages ~pos:(base + pos) ~len);
+        Statemgr.Pages.read_into pages ~pos:(base + pos) ~len into);
     write =
       (fun ~pos s ->
         if pos + String.length s > capacity then invalid_arg "pbft vfs: write past region";
@@ -77,7 +77,7 @@ let pages_file pages ~first_page ~app_pages ~(disk : Simdisk.Disk.t) ~cost =
 let disk_journal disk ~cost =
   let f = Simdisk.Disk.open_file disk "journal" in
   {
-    Vfs.read = (fun ~pos ~len -> Simdisk.Disk.read f ~pos ~len);
+    Vfs.read = Simdisk.Disk.read f;
     write =
       (fun ~pos s ->
         cost := !cost +. Simdisk.Disk.write_cost disk (String.length s);

@@ -27,6 +27,20 @@ val is_readonly_sql : string -> bool
     transactions, non-determinism, parse errors — must be ordered. The
     built service installs this as its [classify_readonly]. *)
 
+val pages_file :
+  Statemgr.Pages.t ->
+  first_page:int ->
+  app_pages:int ->
+  disk:Simdisk.Disk.t ->
+  cost:float ref ->
+  Vfs.file
+(** The database main file as a window of [app_pages] pages onto the
+    state region, starting at region page [first_page]. Reads copy
+    straight out of the region; every write calls
+    {!Statemgr.Pages.notify_modify} before it changes a byte (the §3.2
+    contract); [sync] adds [disk]'s sync cost to [cost], since the paper
+    keeps the database file synchronized with its disk image. *)
+
 val service :
   ?acid:bool ->
   ?app_pages:int ->

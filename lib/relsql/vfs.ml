@@ -1,5 +1,5 @@
 type file = {
-  read : pos:int -> len:int -> string;
+  read : pos:int -> len:int -> Bytes.t -> unit;
   write : pos:int -> string -> unit;
   sync : unit -> unit;
   size : unit -> int;
@@ -19,21 +19,25 @@ let take_cost t =
   t.cost := 0.0;
   c
 
+(* Bytes past [used] are always zero, so growing the file within the
+   buffer zero-fills it; the buffer doubles, so appending pages one at a
+   time costs amortized constant copying. *)
 let heap_file () =
-  let buf = ref (Bytes.create 0) in
-  let size () = Bytes.length !buf in
+  let buf = ref (Bytes.create 0) and used = ref 0 in
+  let size () = !used in
   let ensure n =
-    if n > size () then begin
-      let grown = Bytes.make n '\000' in
-      Bytes.blit !buf 0 grown 0 (size ());
+    if n > Bytes.length !buf then begin
+      let grown = Bytes.make (Int.max n (2 * Bytes.length !buf)) '\000' in
+      Bytes.blit !buf 0 grown 0 !used;
       buf := grown
-    end
+    end;
+    if n > !used then used := n
   in
   {
     read =
-      (fun ~pos ~len ->
+      (fun ~pos ~len into ->
         if pos < 0 || len < 0 || pos + len > size () then invalid_arg "heap_file.read";
-        Bytes.sub_string !buf pos len);
+        Bytes.blit !buf pos into 0 len);
     write =
       (fun ~pos s ->
         ensure (pos + String.length s);
@@ -42,7 +46,11 @@ let heap_file () =
     size;
     truncate =
       (fun n ->
-        if n < size () then buf := Bytes.sub !buf 0 n else ensure n);
+        if n < !used then begin
+          Bytes.fill !buf n (!used - n) '\000';
+          used := n
+        end
+        else ensure n);
   }
 
 let env_of_seed seed =
@@ -69,7 +77,7 @@ let in_memory ?(acid = true) ~seed () =
 let disk_file disk cost name =
   let f = Simdisk.Disk.open_file disk name in
   {
-    read = (fun ~pos ~len -> Simdisk.Disk.read f ~pos ~len);
+    read = Simdisk.Disk.read f;
     write =
       (fun ~pos s ->
         cost := !cost +. Simdisk.Disk.write_cost disk (String.length s);

@@ -9,7 +9,10 @@
     simulated CPU. *)
 
 type file = {
-  read : pos:int -> len:int -> string;
+  read : pos:int -> len:int -> Bytes.t -> unit;
+      (** Copy [len] bytes at [pos] into the start of the caller's buffer.
+          The engine reads whole pages into a reused buffer, so a page read
+          allocates nothing. Raises [Invalid_argument] past the end. *)
   write : pos:int -> string -> unit;
   sync : unit -> unit;
   size : unit -> int;
@@ -26,6 +29,9 @@ type t = {
 
 val take_cost : t -> float
 (** Read and reset the accumulator. *)
+
+val heap_file : unit -> file
+(** An empty, growable in-memory file. *)
 
 val in_memory : ?acid:bool -> seed:int -> unit -> t
 (** Self-contained heap-backed VFS (costless, deterministic env) for

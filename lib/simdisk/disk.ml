@@ -37,10 +37,10 @@ let exists t name = Hashtbl.mem t.files name
 let delete t name = Hashtbl.remove t.files name
 let size f = Bytes.length f.state.volatile
 
-let read f ~pos ~len =
+let read f ~pos ~len buf =
   if pos < 0 || len < 0 || pos + len > Bytes.length f.state.volatile then
     invalid_arg "Disk.read: out of bounds";
-  Bytes.sub_string f.state.volatile pos len
+  Bytes.blit f.state.volatile pos buf 0 len
 
 let ensure_capacity f n =
   let cur = Bytes.length f.state.volatile in

@@ -29,9 +29,9 @@ val delete : t -> string -> unit
 val size : file -> int
 (** Current (volatile) size in bytes. *)
 
-val read : file -> pos:int -> len:int -> string
-(** Reads through the volatile overlay; zero-filled beyond EOF within the
-    requested range is an error — raises [Invalid_argument] if
+val read : file -> pos:int -> len:int -> Bytes.t -> unit
+(** Copies [len] bytes at [pos], read through the volatile overlay, into
+    the start of the caller's buffer. Raises [Invalid_argument] if
     [pos + len] exceeds the size. *)
 
 val write : file -> pos:int -> string -> unit

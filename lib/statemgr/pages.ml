@@ -69,9 +69,9 @@ let writable_slot t i =
     t.shared.(i) <- false;
     b
 
-let read t ~pos ~len =
+let read_into t ~pos ~len out =
   check_range t pos len;
-  let out = Bytes.create len in
+  if Bytes.length out < len then invalid_arg "Pages.read_into: buffer too small";
   let copied = ref 0 in
   while !copied < len do
     let abs = pos + !copied in
@@ -81,8 +81,13 @@ let read t ~pos ~len =
     | None -> Bytes.fill out !copied n '\000'
     | Some b -> Bytes.blit b off out !copied n);
     copied := !copied + n
-  done;
-  Bytes.to_string out
+  done
+
+let read t ~pos ~len =
+  let out = Bytes.create len in
+  read_into t ~pos ~len out;
+  (* [out] never escapes, so handing it over as the string is the one copy. *)
+  Bytes.unsafe_to_string out
 
 let pages_of_range t pos len =
   if len = 0 then []

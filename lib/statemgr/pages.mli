@@ -29,6 +29,10 @@ val read : t -> pos:int -> len:int -> string
 (** Free read access anywhere in the region; unallocated pages read as
     zeros. Raises [Invalid_argument] out of bounds. *)
 
+val read_into : t -> pos:int -> len:int -> Bytes.t -> unit
+(** Like {!read}, but copies into the start of the caller's buffer (which
+    must hold at least [len] bytes) instead of allocating. *)
+
 val notify_modify : t -> pos:int -> len:int -> unit
 (** Declare intent to modify the byte range, marking its pages dirty
     (the copy-on-write hook). *)

@@ -186,24 +186,218 @@ let test_btree_iter_upto () =
           true);
       Alcotest.(check int) "emptied range skipped" 20 !m)
 
+(* Reference-model property. Keys are 0-40 bytes over a small alphabet
+   with shared prefixes and 0x00/0xff bytes, so comparisons run into
+   prefix and byte-order corners. Half the cases use values of 800-1800
+   bytes: a few entries fill a leaf, so the tree splits interior nodes
+   and grows a third level. Range deletes empty whole leaves, and
+   windowed scans with early stops are checked as the tree changes. *)
+type btree_op =
+  | Put of string * string
+  | Del of string
+  | Del_range of string * string  (** every present key in [lo, hi] *)
+  | Window of string option * string option * int  (** iter, stopping after n pairs *)
+
+module Smap = Map.Make (String)
+
+let btree_ops_gen =
+  let open QCheck.Gen in
+  let key =
+    map2 ( ^ )
+      (oneofl [ ""; "a"; "ab"; "ab\000"; "k-"; "k-\255"; "\255"; "\255\255\000" ])
+      (string_size ~gen:(oneofl [ '\000'; '\001'; 'a'; 'b'; 'm'; '\254'; '\255' ]) (int_bound 37))
+  in
+  (* Keys from [lo] up to [lo] extended by a few bytes: usually a run of
+     neighbours, sometimes (short [lo]) a whole prefix family. *)
+  let near =
+    map2 (fun lo ext -> (lo, lo ^ ext)) key
+      (string_size ~gen:(oneofl [ 'a'; 'm'; '\255' ]) (int_range 1 3))
+  in
+  bool >>= fun big ->
+  let value =
+    if big then string_size (int_range 800 1800) else string_size ~gen:printable (int_bound 200)
+  in
+  list_size (if big then int_range 500 2000 else int_range 0 1500)
+    (frequency
+       [
+         (12, map2 (fun k v -> Put (k, v)) key value);
+         (3, map (fun k -> Del k) key);
+         (1, map (fun (lo, hi) -> Del_range (lo, hi)) near);
+         (2, map3 (fun lo hi n -> Window (lo, hi, n)) (opt key) (opt key) (int_range 1 50));
+       ])
+
+let btree_ops_print ops =
+  let show = function
+    | Put (k, v) -> Printf.sprintf "Put (%S, %d bytes)" k (String.length v)
+    | Del k -> Printf.sprintf "Del %S" k
+    | Del_range (lo, hi) -> Printf.sprintf "Del_range (%S, %S)" lo hi
+    | Window (lo, hi, n) ->
+      Printf.sprintf "Window (%s, %s, %d)"
+        (Option.fold ~none:"-" ~some:(Printf.sprintf "%S") lo)
+        (Option.fold ~none:"-" ~some:(Printf.sprintf "%S") hi)
+        n
+  in
+  String.concat "; " (List.map show ops)
+
 let prop_btree_vs_map =
   QCheck.Test.make ~name:"btree matches Map reference" ~count:60
-    QCheck.(small_list (pair (string_of_size (Gen.return 6)) (option (string_of_size (Gen.int_bound 200)))))
+    (QCheck.make ~print:btree_ops_print btree_ops_gen)
     (fun ops ->
       with_tree (fun _ tree ->
-          let reference = Hashtbl.create 16 in
-          List.iter
-            (fun (k, op) ->
-              match op with
-              | Some v ->
-                Btree.insert tree ~key:k ~value:v;
-                Hashtbl.replace reference k v
-              | None ->
-                ignore (Btree.delete tree k);
-                Hashtbl.remove reference k)
-            ops;
-          Hashtbl.fold (fun k v acc -> acc && Btree.find tree k = Some v) reference true
-          && Btree.count tree = Hashtbl.length reference))
+          let window lo hi n =
+            let got = ref [] in
+            Btree.iter tree ?from:lo ?upto:hi (fun k v ->
+                got := (k, v) :: !got;
+                List.length !got < n);
+            List.rev !got
+          in
+          let in_window lo hi k =
+            Option.fold ~none:true ~some:(fun lo -> String.compare lo k <= 0) lo
+            && Option.fold ~none:true ~some:(fun hi -> String.compare k hi <= 0) hi
+          in
+          let take n l = List.filteri (fun i _ -> i < n) l in
+          let ok = ref true and gone = ref [] in
+          let reference =
+            List.fold_left
+              (fun m op ->
+                match op with
+                | Put (k, v) ->
+                  Btree.insert tree ~key:k ~value:v;
+                  Smap.add k v m
+                | Del k ->
+                  if Btree.delete tree k <> Smap.mem k m then ok := false;
+                  gone := k :: !gone;
+                  Smap.remove k m
+                | Del_range (lo, hi) ->
+                  Smap.fold
+                    (fun k _ m ->
+                      if in_window (Some lo) (Some hi) k then begin
+                        if not (Btree.delete tree k) then ok := false;
+                        gone := k :: !gone;
+                        Smap.remove k m
+                      end
+                      else m)
+                    m m
+                | Window (lo, hi, n) ->
+                  let expect =
+                    take n (List.filter (fun (k, _) -> in_window lo hi k) (Smap.bindings m))
+                  in
+                  if window lo hi n <> expect then ok := false;
+                  m)
+              Smap.empty ops
+          in
+          !ok
+          && Smap.for_all (fun k v -> Btree.find tree k = Some v) reference
+          && List.for_all (fun k -> Smap.mem k reference || Btree.find tree k = None) !gone
+          && window None None max_int = Smap.bindings reference
+          && Btree.count tree = Smap.cardinal reference))
+
+(* --- corrupt pages ---
+
+   The B-tree reads page bytes in place, so a damaged image must surface
+   as Pager.Corrupt, never as an out-of-bounds read, a hang or a stray
+   exception. Each case overwrites a page of a committed two-level tree
+   with raw bytes below the pager. *)
+
+let corrupt_tree () =
+  let vfs = Vfs.in_memory ~seed:1 () in
+  let pager = Pager.open_pager vfs in
+  Pager.begin_txn pager;
+  let tree = Btree.create pager in
+  for i = 1 to 400 do
+    Btree.insert tree ~key:(Printf.sprintf "k%04d" i) ~value:(String.make (i mod 40) 'v')
+  done;
+  Pager.commit pager;
+  (vfs, pager, tree)
+
+let overwrite (vfs : Vfs.t) page image =
+  vfs.Vfs.main.write ~pos:(page * Pager.page_size)
+    (image ^ String.make (Pager.page_size - String.length image) '\000')
+
+(* Every reader and writer over the damaged tree; an insert runs in a
+   transaction that is rolled back afterwards. *)
+let tree_ops pager tree key =
+  [
+    ("find", fun () -> ignore (Btree.find tree key));
+    ("iter", fun () -> Btree.iter tree (fun _ _ -> true));
+    ("iter window", fun () -> Btree.iter tree ~from:key ~upto:(key ^ "\255") (fun _ _ -> true));
+    ( "insert",
+      fun () ->
+        Pager.begin_txn pager;
+        Fun.protect
+          ~finally:(fun () -> Pager.rollback pager)
+          (fun () -> Btree.insert tree ~key ~value:(String.make 300 'x')) );
+  ]
+
+let test_btree_corrupt_pages () =
+  let u32 v = String.init 4 (fun i -> Char.chr ((v lsr (8 * i)) land 0xff)) in
+  let all = [ "find"; "iter"; "iter window"; "insert" ] in
+  (* (name, the damage as root page -> page and its new image, the
+     operations that must raise). *)
+  let cases =
+    [
+      ("bad tag", (fun root -> (root, "\007")), all);
+      ("varint overrun", (fun root -> (root, "\000" ^ u32 0 ^ String.make 10 '\255')), all);
+      ("cell past page end", (fun root -> (root, "\000" ^ u32 0 ^ "\001\136\039k")), all);
+      (* Two separators, a child count of one, and stray valid-looking
+         pointers after it: keys above both separators pick slot 2; a
+         scan from the start takes slot 0 and is fine. *)
+      ( "child index >= child count",
+        (fun root -> (root, "\001\002\001b\001c\001\001\001\001")),
+        [ "find"; "iter window"; "insert" ] );
+      (* Page 1 is the leftmost leaf (splits keep the left half in
+         place); chaining it to the interior root must be caught. *)
+      ("leaf chain reaches interior", (fun root -> (1, "\000" ^ u32 root ^ "\000")), [ "iter" ]);
+    ]
+  in
+  List.iter
+    (fun (name, damage, must_raise) ->
+      let vfs, pager, tree = corrupt_tree () in
+      let page, image = damage (Btree.root tree) in
+      overwrite vfs page image;
+      List.iter
+        (fun (op, f) ->
+          if List.mem op must_raise then
+            match f () with
+            | () -> Alcotest.failf "%s: %s returned normally" name op
+            | exception Pager.Corrupt _ -> ())
+        (tree_ops pager tree "z"))
+    cases
+
+(* Random damage: byte overwrites (often in the header and first cells,
+   where counts and lengths live) or a zeroed tail, on any page of the
+   tree. Operations may succeed or raise Pager.Corrupt; nothing else. *)
+let prop_btree_mutated_pages =
+  let gen =
+    QCheck.Gen.(
+      triple (int_range 1 200)
+        (oneof
+           [
+             map (fun l -> `Bytes l) (list_size (int_range 1 8) (pair (int_bound 48) (int_bound 255)));
+             map (fun l -> `Bytes l) (list_size (int_range 1 8) (pair (int_bound 4095) (int_bound 255)));
+             map (fun o -> `Zero_from o) (int_bound 4095);
+           ])
+        (string_size ~gen:(oneofl [ 'k'; '0'; '1'; '3'; '9'; '\000'; '\255' ]) (int_range 0 6)))
+  in
+  let print (page, m, key) =
+    Printf.sprintf "page %d, %s, key %S" page
+      (match m with
+      | `Bytes l -> String.concat " " (List.map (fun (o, b) -> Printf.sprintf "%d:=%d" o b) l)
+      | `Zero_from o -> Printf.sprintf "zeroed from %d" o)
+      key
+  in
+  QCheck.Test.make ~name:"mutated pages raise only Corrupt" ~count:300 (QCheck.make ~print gen)
+    (fun (page, mutation, key) ->
+      let vfs, pager, tree = corrupt_tree () in
+      let page = 1 + (page mod (Pager.page_count pager - 1)) in
+      let image = Bytes.of_string (Bytes.to_string (Pager.read_page pager page)) in
+      (match mutation with
+      | `Bytes l -> List.iter (fun (o, b) -> Bytes.set image o (Char.chr b)) l
+      | `Zero_from o -> Bytes.fill image o (Pager.page_size - o) '\000');
+      overwrite vfs page (Bytes.to_string image);
+      List.for_all
+        (fun (_, f) -> match f () with () -> true | exception Pager.Corrupt _ -> true)
+        (tree_ops pager tree key))
 
 let test_btree_entry_too_large () =
   with_tree (fun _ tree ->
@@ -229,6 +423,99 @@ let test_btree_persistence () =
   Alcotest.(check (option string)) "survives reopen" (Some "144") (Btree.find tree "00012");
   Alcotest.(check int) "count survives" 500 (Btree.count tree)
 
+(* --- page format pin ---
+
+   A fixed SQL script whose page images and access-path counters are
+   compared against recorded constants. Any change to the node
+   encoding, split points, page allocation order or freelist reuse
+   moves a digest; any change to how many pages a plan touches moves a
+   counter. Long index keys keep the fan-out low, so the
+   index tree splits leaves, interior nodes and the root. *)
+
+let file_digest (vfs : Vfs.t) =
+  let size = vfs.Vfs.main.size () in
+  let img = Bytes.create size in
+  vfs.Vfs.main.read ~pos:0 ~len:size img;
+  (size / Pager.page_size, Crypto.Sha256.hex (Crypto.Sha256.digest (Bytes.to_string img)))
+
+let page_format_script () =
+  let vfs = Vfs.in_memory ~seed:1 () in
+  let db = Database.open_db vfs in
+  let digests = ref [] in
+  let snap label =
+    let pages, hex = file_digest vfs in
+    digests := (label, pages, hex) :: !digests
+  in
+  let name i =
+    Printf.sprintf "%03d-%s" (i * 37 mod 1000) (String.make 280 (Char.chr (97 + (i mod 26))))
+  in
+  let fill table lo hi =
+    for b = 0 to ((hi - lo) / 100) do
+      let first = lo + (b * 100) in
+      let last = Int.min hi (first + 99) in
+      if first <= last then
+        ignore
+          (exec db
+             (Printf.sprintf "INSERT INTO %s (id, name, n) VALUES %s" table
+                (String.concat ", "
+                   (List.init (last - first + 1) (fun j ->
+                        let i = first + j in
+                        Printf.sprintf "(%d, '%s', %d)" i (name i) (i mod 7))))))
+    done
+  in
+  ignore (exec db "CREATE TABLE docs (id INTEGER PRIMARY KEY, name TEXT, n INTEGER)");
+  ignore (exec db "CREATE INDEX docs_name ON docs(name)");
+  fill "docs" 1 1200;
+  snap "fill";
+  ignore (exec db "DELETE FROM docs WHERE id >= 100 AND id <= 400");
+  ignore (exec db "UPDATE docs SET n = n + 1 WHERE id >= 900 AND id <= 950");
+  snap "delete";
+  let counters sql =
+    let o = Database.exec db sql in
+    (match o.Database.res with Ok _ -> () | Error e -> Alcotest.failf "%s: %s" sql e);
+    (o.Database.pages_read, o.Database.rows_scanned)
+  in
+  let deep = counters (Printf.sprintf "SELECT id FROM docs WHERE name = '%s'" (name 777)) in
+  ignore (exec db "DROP INDEX docs_name");
+  snap "drop";
+  ignore (exec db "CREATE TABLE again (id INTEGER PRIMARY KEY, name TEXT, n INTEGER)");
+  ignore (exec db "CREATE INDEX again_n ON again(n)");
+  fill "again" 1 300;
+  snap "reuse";
+  let probes =
+    [
+      ("deep index point", deep);
+      ("pk probe", counters "SELECT name FROM docs WHERE id = 777");
+      ("point", counters "SELECT COUNT(*) FROM again WHERE n = 3");
+      ("range", counters "SELECT COUNT(*) FROM again WHERE n >= 2 AND n < 4");
+    ]
+  in
+  Database.set_planner_enabled db false;
+  let probes = probes @ [ ("forced scan", counters "SELECT COUNT(*) FROM docs WHERE id = 777") ] in
+  (List.rev !digests, probes)
+
+let test_page_format_pinned () =
+  let digests, probes = page_format_script () in
+  Alcotest.(check (list (triple string int string)))
+    "page images"
+    [
+      ("fill", 377, "2b9fceabdd3bd5f307fe63918c439caaa5f6cd6571be2481132ad6d96d3f4624");
+      ("delete", 377, "5ab8e89874ac8206b1d4695ba8227ac12057486ce9eb22a593cc8477143da105");
+      ("drop", 377, "829ae063dbf749a5fe7e6978ccacfdef9faf8626fc4e6c6ba5818ee378ff3e2f");
+      ("reuse", 377, "93919d77ecaf3c0fdada07e186fef5ebd9bac16fd8c16af8de220141042bd6f4");
+    ]
+    digests;
+  Alcotest.(check (list (pair string (pair int int))))
+    "pages_read, rows_scanned"
+    [
+      ("deep index point", (7, 1));
+      ("pk probe", (3, 1));
+      ("point", (47, 43));
+      ("range", (54, 86));
+      ("forced scan", (152, 899));
+    ]
+    probes
+
 (* --- pager transactions & crash recovery --- *)
 
 let test_pager_rollback () =
@@ -240,9 +527,9 @@ let test_pager_rollback () =
   Pager.commit pager;
   Pager.begin_txn pager;
   Pager.write_page pager page (String.make Pager.page_size 'B');
-  Alcotest.(check char) "visible in txn" 'B' (Pager.read_page pager page).[0];
+  Alcotest.(check char) "visible in txn" 'B' (Bytes.get (Pager.read_page pager page) 0);
   Pager.rollback pager;
-  Alcotest.(check char) "rolled back" 'A' (Pager.read_page pager page).[0]
+  Alcotest.(check char) "rolled back" 'A' (Bytes.get (Pager.read_page pager page) 0)
 
 let test_pager_crash_recovery () =
   (* Simulate a crash mid-transaction on a disk-backed VFS: volatile
@@ -264,7 +551,7 @@ let test_pager_crash_recovery () =
   Simdisk.Disk.crash disk;
   let vfs2 = Vfs.on_disk disk ~name:"db" ~seed:1 in
   let pager2 = Pager.open_pager vfs2 in
-  Alcotest.(check char) "hot journal rolled back" 'A' (Pager.read_page pager2 page).[0]
+  Alcotest.(check char) "hot journal rolled back" 'A' (Bytes.get (Pager.read_page pager2 page) 0)
 
 let test_pager_freelist_reuse () =
   let vfs = Vfs.in_memory ~seed:1 () in
@@ -283,9 +570,9 @@ let journal_entries vfs =
   | Some j ->
     if j.Vfs.size () < 4 then 0
     else begin
-      let s = j.Vfs.read ~pos:0 ~len:4 in
-      Char.code s.[0] lor (Char.code s.[1] lsl 8) lor (Char.code s.[2] lsl 16)
-      lor (Char.code s.[3] lsl 24)
+      let b = Bytes.create 4 in
+      j.Vfs.read ~pos:0 ~len:4 b;
+      Int32.to_int (Bytes.get_int32_le b 0)
     end
 
 let test_pager_touch_accounting () =
@@ -861,7 +1148,10 @@ let () =
           Alcotest.test_case "iter upper bound" `Quick test_btree_iter_upto;
           Alcotest.test_case "entry too large" `Quick test_btree_entry_too_large;
           Alcotest.test_case "persistence" `Quick test_btree_persistence;
+          Alcotest.test_case "page format pinned" `Quick test_page_format_pinned;
+          Alcotest.test_case "corrupt pages raise Corrupt" `Quick test_btree_corrupt_pages;
           qcheck prop_btree_vs_map;
+          qcheck prop_btree_mutated_pages;
         ] );
       ( "pager",
         [

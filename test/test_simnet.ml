@@ -374,17 +374,22 @@ let test_reregister_replaces_handler () =
 
 (* --- disk --- *)
 
+let disk_read f ~pos ~len =
+  let b = Bytes.create len in
+  Simdisk.Disk.read f ~pos ~len b;
+  Bytes.to_string b
+
 let test_disk_rw () =
   let d = Simdisk.Disk.create () in
   let f = Simdisk.Disk.open_file d "file" in
   Simdisk.Disk.write f ~pos:0 "hello";
   Simdisk.Disk.write f ~pos:5 " world";
-  Alcotest.(check string) "read" "hello world" (Simdisk.Disk.read f ~pos:0 ~len:11);
+  Alcotest.(check string) "read" "hello world" (disk_read f ~pos:0 ~len:11);
   Alcotest.(check int) "size" 11 (Simdisk.Disk.size f);
   Simdisk.Disk.write f ~pos:20 "sparse";
-  Alcotest.(check string) "gap zero-filled" "\000\000\000" (Simdisk.Disk.read f ~pos:15 ~len:3);
+  Alcotest.(check string) "gap zero-filled" "\000\000\000" (disk_read f ~pos:15 ~len:3);
   Alcotest.check_raises "oob" (Invalid_argument "Disk.read: out of bounds") (fun () ->
-      ignore (Simdisk.Disk.read f ~pos:100 ~len:1))
+      ignore (disk_read f ~pos:100 ~len:1))
 
 let test_disk_crash_semantics () =
   let d = Simdisk.Disk.create () in
@@ -394,7 +399,7 @@ let test_disk_crash_semantics () =
   Simdisk.Disk.write f ~pos:0 "VOLATIL";
   Simdisk.Disk.crash d;
   let f = Simdisk.Disk.open_file d "file" in
-  Alcotest.(check string) "unsynced writes lost" "durable" (Simdisk.Disk.read f ~pos:0 ~len:7)
+  Alcotest.(check string) "unsynced writes lost" "durable" (disk_read f ~pos:0 ~len:7)
 
 let test_disk_crash_loses_everything_unsynced () =
   let d = Simdisk.Disk.create () in

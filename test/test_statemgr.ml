@@ -254,50 +254,21 @@ let test_checkpoint_divergent_pages () =
 
 (* --- tentative execution undo (speculative execution, §2.2) --- *)
 
-(* A VFS whose main file is a window onto a Pages region (the §3.2
-   arrangement), with a heap-backed journal: lets us drive the real
-   relational pager across a checkpoint restore. *)
-let mem_file () =
-  let data = ref Bytes.empty in
-  let ensure n =
-    if Bytes.length !data < n then begin
-      let b = Bytes.make n '\000' in
-      Bytes.blit !data 0 b 0 (Bytes.length !data);
-      data := b
-    end
-  in
-  {
-    Relsql.Vfs.read =
-      (fun ~pos ~len ->
-        ensure (pos + len);
-        Bytes.sub_string !data pos len);
-    write =
-      (fun ~pos s ->
-        ensure (pos + String.length s);
-        Bytes.blit_string s 0 !data pos (String.length s));
-    sync = (fun () -> ());
-    size = (fun () -> Bytes.length !data);
-    truncate = (fun n -> data := Bytes.sub !data 0 (min n (Bytes.length !data)));
-  }
-
+(* A VFS whose main file is the whole Pages region (the §3.2
+   arrangement, through the replicated-SQL service's own constructor),
+   with a heap-backed journal: lets us drive the real relational pager
+   across a checkpoint restore. *)
 let pages_vfs pages =
-  let capacity = Statemgr.Pages.total_size pages in
+  let cost = ref 0.0 in
   {
     Relsql.Vfs.main =
-      {
-        Relsql.Vfs.read = (fun ~pos ~len -> Statemgr.Pages.read pages ~pos ~len);
-        write =
-          (fun ~pos s ->
-            Statemgr.Pages.notify_modify pages ~pos ~len:(String.length s);
-            Statemgr.Pages.write pages ~pos s);
-        sync = (fun () -> ());
-        size = (fun () -> capacity);
-        truncate = (fun _ -> ());
-      };
-    journal = Some (mem_file ());
+      Relsql.Pbft_service.pages_file pages ~first_page:0
+        ~app_pages:(Statemgr.Pages.num_pages pages)
+        ~disk:(Simdisk.Disk.create ()) ~cost;
+    journal = Some (Relsql.Vfs.heap_file ());
     time = (fun () -> 0.0);
     random = (fun () -> 0L);
-    cost = ref 0.0;
+    cost;
   }
 
 (* Tentative execution with COW undo: snapshot, execute (dirtying pages
@@ -382,7 +353,7 @@ let test_tentative_undo_cow () =
     images0;
   Alcotest.(check int) "pager header rolled back" count0 (Relsql.Pager.page_count pager);
   Alcotest.(check string) "committed data survives" "committed"
-    (String.sub (Relsql.Pager.read_page pager committed_pg) 0 9);
+    (Bytes.sub_string (Relsql.Pager.read_page pager committed_pg) 0 9);
   (* The speculative page is unallocated again: the pager can hand the
      same page number out to the next transaction. *)
   Relsql.Pager.begin_txn pager;
