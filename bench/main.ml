@@ -21,7 +21,8 @@
    [bench] measures host wall-clock / events-per-sec / SHA-256 bytes-per-sec
    for the Table-1 and SQL workloads and writes BENCH.json (schema in
    README.md); [--quick] shortens every virtual duration to 0.3 s for CI
-   smoke runs. *)
+   smoke runs. It exits non-zero if the Table-1 default row hashes more
+   than 24,000 SHA-256 input bytes per completed request. *)
 
 open Bechamel
 open Toolkit
@@ -29,6 +30,16 @@ open Toolkit
 (* --- micro benchmarks (P1) --- *)
 
 let kb = String.make 1024 'x'
+
+(* A 1 KiB payload whose content differs on every call: the digest and
+   tag memos hit on a repeated payload, so re-tagging [kb] would time a
+   lookup, not the hashing a new message costs. *)
+let fresh_kb =
+  let buf = Bytes.make 1024 'x' and n = ref 0 in
+  fun () ->
+    incr n;
+    Bytes.set_int64_le buf 0 (Int64.of_int !n);
+    Bytes.to_string buf
 
 let micro_tests () =
   let rng = Util.Rng.create 1 in
@@ -67,9 +78,12 @@ let micro_tests () =
   [
     Test.make ~name:"sha256 1KiB" (Staged.stage (fun () -> Crypto.Sha256.digest kb));
     Test.make ~name:"hmac 1KiB" (Staged.stage (fun () -> Crypto.Hmac.mac ~key:mac_key kb));
-    Test.make ~name:"mac tag 1KiB" (Staged.stage (fun () -> Crypto.Mac.compute ~key:mac_key kb));
-    Test.make ~name:"authenticator n=4"
-      (Staged.stage (fun () -> Crypto.Authenticator.compute ~keys:auth_keys kb));
+    Test.make ~name:"mac tag 1KiB (digest+tag)"
+      (Staged.stage (fun () ->
+           Crypto.Mac.compute ~key:mac_key (Pbft.Message.payload_digest (fresh_kb ()))));
+    Test.make ~name:"authenticator n=4 (digest+tags)"
+      (Staged.stage (fun () ->
+           Crypto.Authenticator.compute ~keys:auth_keys (Pbft.Message.payload_digest (fresh_kb ()))));
     Test.make ~name:"rabin-384 sign" (Staged.stage (fun () -> Crypto.Rabin.sign rabin kb));
     Test.make ~name:"rabin-384 verify"
       (Staged.stage (fun () -> Crypto.Rabin.verify rabin_pk kb rabin_sig));
@@ -121,6 +135,10 @@ let iso8601 () =
   let tm = Unix.gmtime (Unix.gettimeofday ()) in
   Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02dZ" (tm.Unix.tm_year + 1900) (tm.Unix.tm_mon + 1)
     tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min tm.Unix.tm_sec
+
+(* Ceiling on SHA-256 input bytes per completed request on the Table-1
+   default row (see the gate at the end of [run_hostbench]). *)
+let max_hashed_per_request = 24_000
 
 let run_hostbench () =
   banner "Host-time benchmark (BENCH.json)";
@@ -194,7 +212,26 @@ let run_hostbench () =
   close_out oc;
   Printf.printf "  trace digest: %s\n  wrote BENCH.json (%d workloads)\n%!"
     (Harness.Hostbench.trace_digest ())
-    (List.length all)
+    (List.length all);
+  (* Hashed bytes per request are a deterministic count, so the gate
+     compares exactly. Tags and signatures cover a memoized payload
+     digest, so each payload is hashed about once per process (about
+     21.6 KB per request with --quick, most of it payloads' one hash). *)
+  let default_row =
+    List.find
+      (fun (m : Harness.Hostbench.measurement) ->
+        String.equal m.name "table1:sta_mac_allbig_batch")
+      table1
+  in
+  let hashed_per_request =
+    float_of_int default_row.bytes_hashed /. float_of_int (Int.max 1 default_row.completed)
+  in
+  Printf.printf "  %s hashes %.0f B per request (gate: <= %d B)\n%!" default_row.name
+    hashed_per_request max_hashed_per_request;
+  if hashed_per_request > float_of_int max_hashed_per_request then begin
+    Printf.printf "  bench gate: FAIL\n%!";
+    exit 1
+  end
 
 (* Just the seeded trace digest: cheap enough for CI to run twice and
    diff, pinning simulation determinism without a full bench pass. *)

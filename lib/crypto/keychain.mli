@@ -22,10 +22,14 @@ val verifier_of : signer -> verifier
 (** The public half, distributable to other nodes. *)
 
 val sign : signer -> string -> string
-(** Signature bytes over the message. *)
+(** Signature bytes over the message. Protocol messages sign their 32-byte
+    payload digest ([Pbft.Message.payload_digest]), not the payload. *)
 
 val verify : verifier -> string -> signature:string -> bool
-[@@trust.sanitizer "public-key signature check: true vouches for the signed bytes"]
+[@@trust.sanitizer
+  "public-key signature check: true vouches for the signed bytes (a payload digest)"]
+(** [verify v d ~signature] checks [signature] over [d]; the caller
+    recomputes [d] from the payload it received. *)
 
 val signature_size : verifier -> int
 (** Nominal wire size of one signature (for the network size model). *)

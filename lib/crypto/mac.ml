@@ -2,13 +2,13 @@ type key = string
 
 let tag_size = 8
 
-(* In the simulator, sender and receiver live in one process, and the
-   wire/payload sharing in the message layer makes the receiver verify a
-   MAC over the *physically same* string the sender just tagged. A small
-   direct-mapped memo therefore turns almost every verification into a
-   lookup of the sender's computation — halving the HMAC work of a run
-   without changing a single verdict (the memo is keyed on the exact
-   (key, message) pair and stores a pure function's result). *)
+(* In the simulator, sender and receiver live in one process. Protocol
+   messages are tagged over their payload digest, and the message layer's
+   digest memo hands the receiver the *physically same* digest string the
+   sender just tagged. A small direct-mapped memo therefore turns almost
+   every verification into a lookup of the sender's computation — without
+   changing a single verdict (the memo is keyed on the exact (key,
+   message) pair and stores a pure function's result). *)
 type slot = { sl_key : key; sl_msg : string; sl_tag : string }
 
 let slots = 8192

@@ -165,33 +165,40 @@ let feed_bytes ctx b ~pos ~len =
 
 let feed ctx s = feed_bytes ctx (Bytes.unsafe_of_string s) ~pos:0 ~len:(String.length s)
 
+let[@inline] put_word out i h =
+  Bytes.unsafe_set out i (Char.unsafe_chr (h lsr 24));
+  Bytes.unsafe_set out (i + 1) (Char.unsafe_chr ((h lsr 16) land 0xff));
+  Bytes.unsafe_set out (i + 2) (Char.unsafe_chr ((h lsr 8) land 0xff));
+  Bytes.unsafe_set out (i + 3) (Char.unsafe_chr (h land 0xff))
+
+let zero_block_from ctx i = Bytes.unsafe_fill ctx.block i (64 - i) '\000'
+
 let finalize ctx =
-  let bitlen = Int64.of_int (ctx.total * 8) in
   (* Padding: 0x80, zeros, 8-byte big-endian bit length. *)
-  let pad_block () =
-    while ctx.fill < 64 do
-      Bytes.set ctx.block ctx.fill '\000';
-      ctx.fill <- ctx.fill + 1
-    done;
-    compress ctx ctx.block 0;
-    ctx.fill <- 0
-  in
   Bytes.set ctx.block ctx.fill '\x80';
-  ctx.fill <- ctx.fill + 1;
-  if ctx.fill > 56 then pad_block ();
-  while ctx.fill < 56 do
-    Bytes.set ctx.block ctx.fill '\000';
-    ctx.fill <- ctx.fill + 1
-  done;
-  Bytes.set_int64_be ctx.block 56 bitlen;
-  ctx.fill <- 64;
+  if ctx.fill + 1 > 56 then begin
+    zero_block_from ctx (ctx.fill + 1);
+    compress ctx ctx.block 0;
+    zero_block_from ctx 0
+  end
+  else zero_block_from ctx (ctx.fill + 1);
+  let bitlen = ctx.total * 8 in
+  put_word ctx.block 56 ((bitlen lsr 32) land mask);
+  put_word ctx.block 60 (bitlen land mask);
   compress ctx ctx.block 0;
   ctx.fill <- 0;
+  (* The output buffer is fresh and never escapes as bytes, so it becomes
+     the result string without a copy. *)
   let out = Bytes.create 32 in
-  List.iteri
-    (fun i h -> Bytes.set_int32_be out (i * 4) (Int32.of_int h))
-    [ ctx.h0; ctx.h1; ctx.h2; ctx.h3; ctx.h4; ctx.h5; ctx.h6; ctx.h7 ];
-  Bytes.to_string out
+  put_word out 0 ctx.h0;
+  put_word out 4 ctx.h1;
+  put_word out 8 ctx.h2;
+  put_word out 12 ctx.h3;
+  put_word out 16 ctx.h4;
+  put_word out 20 ctx.h5;
+  put_word out 24 ctx.h6;
+  put_word out 28 ctx.h7;
+  Bytes.unsafe_to_string out
 
 (* One-shot digests reuse a scratch context instead of allocating a fresh
    block + schedule per call. Single-domain only, like [hashed]. *)

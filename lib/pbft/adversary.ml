@@ -33,12 +33,13 @@ let mutations t = t.n_mutations
    real group member, so it holds a legitimate signing key and (in MAC
    mode) the per-peer session keys it chose — its lies verify. *)
 let reauth t ~dst pb =
+  let d = Message.payload_digest pb in
   if t.cfg.use_macs then begin
     match Replica.session_key_for t.replica dst with
-    | Some k -> Message.Authenticated (Crypto.Authenticator.compute ~keys:[ (dst, k) ] pb)
-    | None -> Message.Signed (Crypto.Keychain.sign (Replica.signer t.replica) pb)
+    | Some k -> Message.Authenticated (Crypto.Authenticator.compute ~keys:[ (dst, k) ] d)
+    | None -> Message.Signed (Crypto.Keychain.sign (Replica.signer t.replica) d)
   end
-  else Message.Signed (Crypto.Keychain.sign (Replica.signer t.replica) pb)
+  else Message.Signed (Crypto.Keychain.sign (Replica.signer t.replica) d)
 
 (* Decode a wire, rewrite its payload through [f], re-encode with fresh
    (valid) authentication for the concrete destination. [f] returning
@@ -147,8 +148,8 @@ let install ~net ~cfg replica behavior =
       peers
   | Corrupt_macs ->
     (* Flip a payload byte while keeping the stale authenticator: every
-       MAC in the vector (and any signature) covers the payload bytes, so
-       no receiver can validate anything this replica sends — the §2.3
+       MAC in the vector (and any signature) covers the payload digest,
+       so no receiver can validate anything this replica sends — the §2.3
        pathology, by malice rather than lost session keys. (Corrupting
        the trailer instead would only break the last peer's MAC entry.) *)
     Simnet.Net.set_link_corrupt net ~src ~dst:Simnet.Net.any_addr (fun ~dst:_ ~label:_ wire ->

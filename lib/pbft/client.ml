@@ -76,12 +76,13 @@ let replica_ids t = List.init t.cfg.n (fun i -> i)
 
 let send_payload t ~dst payload ~signed =
   let pb = Message.payload_bytes payload in
+  let d = Message.payload_digest pb in
   let auth, auth_cost =
     if signed || not t.cfg.use_macs then
-      (Message.Signed (Crypto.Keychain.sign t.signer pb), t.costs.sign)
+      (Message.Signed (Crypto.Keychain.sign t.signer d), t.costs.sign)
     else begin
       let key = session_key_for t dst in
-      ( Message.Authenticated (Crypto.Authenticator.compute ~keys:[ (dst, key) ] pb),
+      ( Message.Authenticated (Crypto.Authenticator.compute ~keys:[ (dst, key) ] d),
         t.costs.mac_gen )
     end
   in
@@ -97,12 +98,13 @@ let send_payload t ~dst payload ~signed =
    one datagram per replica. *)
 let multicast_payload t payload ~signed =
   let pb = Message.payload_bytes payload in
+  let d = Message.payload_digest pb in
   let auth, auth_cost =
     if signed || not t.cfg.use_macs then
-      (Message.Signed (Crypto.Keychain.sign t.signer pb), t.costs.sign)
+      (Message.Signed (Crypto.Keychain.sign t.signer d), t.costs.sign)
     else begin
       let keys = List.map (fun r -> (r, session_key_for t r)) (replica_ids t) in
-      ( Message.Authenticated (Crypto.Authenticator.compute ~keys pb),
+      ( Message.Authenticated (Crypto.Authenticator.compute ~keys d),
         float_of_int t.cfg.n *. t.costs.mac_gen )
     end
   in
@@ -391,19 +393,19 @@ let leave t =
 (* Receive path.                                                        *)
 
 let verify_reply_auth t ~src (msg : Message.t) =
-  let pb = Message.payload_bytes msg.payload in
+  let d = Message.digest_of_payload msg.payload in
   match msg.auth with
   | Message.No_auth -> (0.0, false)
   | Message.Signed s -> begin
     if src < Array.length t.registry.reg_verifiers then
       ( t.costs.sig_verify,
-        Crypto.Keychain.verify t.registry.reg_verifiers.(src) pb ~signature:s )
+        Crypto.Keychain.verify t.registry.reg_verifiers.(src) d ~signature:s )
     else (0.0, false)
   end
   | Message.Authenticated a -> begin
     match Hashtbl.find_opt t.keys src with
     | None -> (0.0, false)
-    | Some key -> (t.costs.mac_verify, Crypto.Authenticator.check ~key ~replica:t.caddr pb a)
+    | Some key -> (t.costs.mac_verify, Crypto.Authenticator.check ~key ~replica:t.caddr d a)
   end
 
 let on_datagram t ~src wire =

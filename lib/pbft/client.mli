@@ -66,6 +66,12 @@ val invoke_attested :
     replica group to verify the vote ({!Certificate.verify} binds
     (client, rq_id, result)). *)
 
+val verify_reply_auth : t -> src:int -> Message.t -> float * bool
+(** Verify a message received from replica [src]: its signature, or this
+    client's tag in its authenticator, each over the payload digest
+    ({!Message.payload_digest}). Returns the virtual CPU cost to charge
+    with the verdict. *)
+
 val completed : t -> int
 
 val tentative_completed : t -> int

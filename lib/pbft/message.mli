@@ -120,7 +120,16 @@ val encode_wire : payload_bytes:string -> auth -> string
     once, then call this per wire (the bytes themselves can be reused
     across destinations when the auth is shared too). *)
 
+val payload_digest : string -> digest
+(** [payload_digest pb] is [Crypto.Sha256.digest pb] for payload bytes
+    [pb] — the 32 bytes every MAC tag and signature on a message covers
+    (Castro–Liskov authenticators MAC a digest, not the message). Memoized
+    in a bounded table confirmed by content equality, so each payload is
+    hashed about once per process and a hit is always exact. *)
+
 val digest_of_payload : payload -> digest
+(** [payload_digest (payload_bytes p)]. *)
+
 val request_digest : request -> digest
 (** Digest identifying a request (used in pre-prepares for big requests). *)
 

@@ -201,7 +201,10 @@ let charge_fanout t ~n ~unit_cost k =
 
 let replica_addrs t = List.init t.cfg.n (fun i -> i)
 
+(* Tags and signatures cover the payload digest (one hash per payload),
+   not the payload bytes themselves. *)
 let make_auth_multicast t payload_bytes =
+  let d = Message.payload_digest payload_bytes in
   if t.cfg.use_macs then begin
     let keys =
       List.filter_map
@@ -211,18 +214,18 @@ let make_auth_multicast t payload_bytes =
             Option.map (fun k -> (peer, k)) (Hashtbl.find_opt t.keys_i_chose peer))
         (replica_addrs t)
     in
-    Message.Authenticated (Crypto.Authenticator.compute ~keys payload_bytes)
+    Message.Authenticated (Crypto.Authenticator.compute ~keys d)
   end
-  else Message.Signed (Crypto.Keychain.sign t.signer payload_bytes)
+  else Message.Signed (Crypto.Keychain.sign t.signer d)
 
 let make_auth_to t payload_bytes dst =
+  let d = Message.payload_digest payload_bytes in
   if t.cfg.use_macs then begin
     match Hashtbl.find_opt t.keys_i_chose dst with
-    | Some k ->
-      Message.Authenticated (Crypto.Authenticator.compute ~keys:[ (dst, k) ] payload_bytes)
-    | None -> Message.Signed (Crypto.Keychain.sign t.signer payload_bytes)
+    | Some k -> Message.Authenticated (Crypto.Authenticator.compute ~keys:[ (dst, k) ] d)
+    | None -> Message.Signed (Crypto.Keychain.sign t.signer d)
   end
-  else Message.Signed (Crypto.Keychain.sign t.signer payload_bytes)
+  else Message.Signed (Crypto.Keychain.sign t.signer d)
 
 let verifier_for_addr t addr =
   if addr < t.cfg.n then Some t.registry.reg_verifiers.(addr)
@@ -240,7 +243,7 @@ let verifier_for_addr t addr =
    charge along with the verdict. Missing MAC session keys are the §2.3
    recovery stall: the message cannot be validated at all. *)
 let check_auth t ~src (msg : Message.t) =
-  let pb = Message.payload_bytes msg.payload in
+  let d = Message.digest_of_payload msg.payload in
   match msg.auth with
   | Message.No_auth -> (0.0, false)
   | Message.Signed s -> begin
@@ -253,10 +256,10 @@ let check_auth t ~src (msg : Message.t) =
     in
     match v with
     | None -> (t.costs.sig_verify, false)
-    | Some v -> (t.costs.sig_verify, Crypto.Keychain.verify v pb ~signature:s)
+    | Some v -> (t.costs.sig_verify, Crypto.Keychain.verify v d ~signature:s)
   end
   | Message.Authenticated a -> begin
-    let check key = Crypto.Authenticator.check ~key ~replica:t.id pb a in
+    let check key = Crypto.Authenticator.check ~key ~replica:t.id d a in
     match Hashtbl.find_opt t.keys_peers_chose src with
     | Some key when check key -> (t.costs.mac_verify, true)
     | Some _ -> begin
@@ -343,7 +346,7 @@ let send_session_key t peer =
   (* Key establishment always uses signatures (the MAC keys are what
      is being distributed). *)
   let pb = Message.payload_bytes payload in
-  let auth = Message.Signed (Crypto.Keychain.sign t.signer pb) in
+  let auth = Message.Signed (Crypto.Keychain.sign t.signer (Message.payload_digest pb)) in
   let wire = Message.encode_wire ~payload_bytes:pb auth in
   let label = Message.label payload in
   let detail () = Message.describe payload in
@@ -374,7 +377,7 @@ let refresh_session_keys t =
 let request_session_keys t =
   let payload = Message.Key_request { kq_replica = t.id } in
   let pb = Message.payload_bytes payload in
-  let auth = Message.Signed (Crypto.Keychain.sign t.signer pb) in
+  let auth = Message.Signed (Crypto.Keychain.sign t.signer (Message.payload_digest pb)) in
   let wire = Message.encode_wire ~payload_bytes:pb auth in
   let label = Message.label payload in
   let detail () = Message.describe payload in

@@ -138,6 +138,12 @@ val cpu : t -> Simnet.Cpu.t
 val pages : t -> Statemgr.Pages.t
 val membership : t -> Membership.t
 
+val check_auth : t -> src:int -> Message.t -> float * bool
+(** Verify a received message's authentication: its signature, or this
+    replica's tag in its authenticator, each over the payload digest
+    ({!Message.payload_digest}). Returns the virtual CPU cost to charge
+    with the verdict; false when the sender's key is unknown (§2.3). *)
+
 val install_session_key : t -> addr:int -> Crypto.Mac.key -> unit
 (** Out-of-band session-key installation used by static-mode setup; the
     in-band path is the Session_key message. *)

@@ -204,11 +204,11 @@ module Browser = struct
   let verifier_string t =
     Crypto.Keychain.verifier_to_string (Crypto.Keychain.verifier_of t.signer)
 
-  (* Sign the canonical native payload bytes (the bridge reconstructs the
-     same bytes, so replicas verify exactly what the browser signed). *)
+  (* Sign the digest of the canonical native payload bytes (the bridge
+     reconstructs the same bytes, so replicas verify exactly what the
+     browser signed). *)
   let signed_frame t payload json_fields =
-    let pb = Pbft.Message.payload_bytes payload in
-    let signature = Crypto.Keychain.sign t.signer pb in
+    let signature = Crypto.Keychain.sign t.signer (Pbft.Message.digest_of_payload payload) in
     Json.Obj (json_fields @ [ ("sig", Json.of_bytes signature) ])
 
   let send_frame t ~replica frame =

@@ -188,6 +188,44 @@ let test_authenticator_codec () =
         (Crypto.Authenticator.check ~key ~replica:i "m" back))
     keys
 
+(* Protocol messages are authenticated digest-then-MAC: tags and
+   signatures cover the 32-byte SHA-256 of the payload. Changing any one
+   payload byte changes the digest, so the tag and signature fail. *)
+let test_digest_then_tag () =
+  let rng = Util.Rng.create 4 in
+  let keys = List.init 4 (fun i -> (i, Crypto.Mac.fresh_key rng)) in
+  let payload = String.init 1024 (fun i -> Char.chr (i land 0xff)) in
+  let d = Crypto.Sha256.digest payload in
+  let auth = Crypto.Authenticator.compute ~keys d in
+  let signers =
+    List.map
+      (fun mode -> Crypto.Keychain.make mode rng ~id:1)
+      [ Crypto.Keychain.Simulated; Crypto.Keychain.Real 256 ]
+  in
+  let sigs = List.map (fun s -> (Crypto.Keychain.verifier_of s, Crypto.Keychain.sign s d)) signers in
+  List.iter
+    (fun pos ->
+      let b = Bytes.of_string payload in
+      Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0x80));
+      let d' = Crypto.Sha256.digest (Bytes.to_string b) in
+      List.iter
+        (fun (i, key) ->
+          Alcotest.(check bool) "tag accepts" true (Crypto.Authenticator.check ~key ~replica:i d auth);
+          Alcotest.(check bool)
+            (Printf.sprintf "tag rejects byte %d flipped" pos)
+            false
+            (Crypto.Authenticator.check ~key ~replica:i d' auth))
+        keys;
+      List.iter
+        (fun (v, signature) ->
+          Alcotest.(check bool) "signature accepts" true (Crypto.Keychain.verify v d ~signature);
+          Alcotest.(check bool)
+            (Printf.sprintf "signature rejects byte %d flipped" pos)
+            false
+            (Crypto.Keychain.verify v d' ~signature))
+        sigs)
+    [ 0; 511; 1023 ]
+
 (* --- Rabin signatures --- *)
 
 let rabin_kp = lazy (Crypto.Rabin.generate (Util.Rng.create 11) ~bits:256)
@@ -391,6 +429,7 @@ let () =
         [
           Alcotest.test_case "per-replica tags" `Quick test_authenticator;
           Alcotest.test_case "wire codec" `Quick test_authenticator_codec;
+          Alcotest.test_case "digest-then-tag" `Quick test_digest_then_tag;
         ] );
       ( "rabin",
         [

@@ -1317,6 +1317,102 @@ let test_tampered_wire_dropped () =
   Cluster.run cluster ~seconds:5.0;
   Alcotest.(check int) "progress despite garbage datagrams" 8 !done_
 
+(* --- digest-then-MAC authentication --- *)
+
+(* Tags and signatures cover the payload digest, so a message whose
+   payload differs from the authenticated one in a single byte must be
+   rejected. The two payloads share their length and leading bytes, which
+   also puts them in the same slot of the payload-digest memo. *)
+let one_kib_with_last c = String.make 1023 'o' ^ String.make 1 c
+
+let test_check_auth_one_byte () =
+  let cluster =
+    Cluster.create ~seed:5 ~num_clients:1 ~service:(Service.counter ()) (Config.default ~f:1)
+  in
+  let cl = Cluster.client cluster 0 and rep = Cluster.replica cluster 1 in
+  let request c =
+    Message.Request_msg
+      { rq_client = 1; rq_id = 1; rq_op = one_kib_with_last c; rq_readonly = false;
+        rq_timestamp = 0.0 }
+  in
+  let good = request 'a' and bad = request 'b' in
+  let d = Message.digest_of_payload good in
+  let mac =
+    Message.Authenticated
+      (Crypto.Authenticator.compute ~keys:[ (1, Client.session_key_for cl 1) ] d)
+  in
+  let signed = Message.Signed (Crypto.Keychain.sign (Replica.signer (Cluster.replica cluster 0)) d) in
+  let verdict ~src payload auth = snd (Replica.check_auth rep ~src { Message.payload; auth }) in
+  let caddr = Client.addr cl in
+  Alcotest.(check bool) "MAC over the digest accepted" true (verdict ~src:caddr good mac);
+  Alcotest.(check bool) "MAC rejected one byte off" false (verdict ~src:caddr bad mac);
+  Alcotest.(check bool) "signature over the digest accepted" true (verdict ~src:0 good signed);
+  Alcotest.(check bool) "signature rejected one byte off" false (verdict ~src:0 bad signed);
+  (* The same flip made in flight: the wire keeps the original
+     authenticator, the receiver decodes the altered payload. *)
+  let pb = Message.payload_bytes good in
+  let flipped = Bytes.of_string pb in
+  let last = Bytes.length flipped - 1 in
+  Bytes.set flipped last (Char.chr (Char.code (Bytes.get flipped last) lxor 1));
+  match Message.decode (Message.encode_wire ~payload_bytes:(Bytes.to_string flipped) mac) with
+  | None -> Alcotest.fail "flipped wire no longer decodes"
+  | Some msg ->
+    Alcotest.(check bool) "in-flight flip rejected" false
+      (snd (Replica.check_auth rep ~src:caddr msg))
+
+let test_verify_reply_auth_one_byte () =
+  let cluster =
+    Cluster.create ~seed:6 ~num_clients:1 ~service:(Service.counter ()) (Config.default ~f:1)
+  in
+  let cl = Cluster.client cluster 0 in
+  let reply c =
+    Message.Reply
+      { r_view = 0; r_client = 1; r_id = 1; r_replica = 2; r_result = one_kib_with_last c;
+        r_tentative = false; r_partial = None }
+  in
+  let good = reply 'a' and bad = reply 'b' in
+  let d = Message.digest_of_payload good in
+  let signed = Message.Signed (Crypto.Keychain.sign (Replica.signer (Cluster.replica cluster 2)) d) in
+  let mac =
+    Message.Authenticated
+      (Crypto.Authenticator.compute ~keys:[ (Client.addr cl, Client.session_key_for cl 2) ] d)
+  in
+  let verdict payload auth = snd (Client.verify_reply_auth cl ~src:2 { Message.payload; auth }) in
+  Alcotest.(check bool) "signature over the digest accepted" true (verdict good signed);
+  Alcotest.(check bool) "signature rejected one byte off" false (verdict bad signed);
+  Alcotest.(check bool) "MAC over the digest accepted" true (verdict good mac);
+  Alcotest.(check bool) "MAC rejected one byte off" false (verdict bad mac)
+
+(* The payload-digest memo is invisible: it always answers the SHA-256 of
+   exactly the bytes asked about. Every payload in one case shares its
+   length and first 32 bytes with the others, so they all index the same
+   memo slot and keep evicting one another; each is also asked about
+   through a content-equal but physically distinct copy. Lengths above
+   4 KiB take the memo's big-payload slots. *)
+let prop_payload_digest_memo =
+  let gen =
+    QCheck.Gen.(
+      triple (oneofl [ 33; 64; 1024; 5000 ]) (string_size (return 32))
+        (list_size (int_range 1 12) (string_size (int_bound 8))))
+  in
+  QCheck.Test.make ~name:"payload digest memo equals Sha256.digest" ~count:200
+    (QCheck.make ~print:QCheck.Print.(triple int string (list string)) gen)
+    (fun (len, header, tails) ->
+      let payload tail =
+        let s = header ^ tail in
+        let s = if String.length s >= len then String.sub s 0 len else s in
+        s ^ String.make (len - String.length s) '.'
+      in
+      let payloads = List.map payload (tails @ List.rev tails) in
+      List.for_all
+        (fun pb ->
+          let copy = Bytes.to_string (Bytes.of_string pb) in
+          let expected = Crypto.Sha256.digest pb in
+          String.equal (Message.payload_digest pb) expected
+          && String.equal (Message.payload_digest copy) expected
+          && String.equal (Message.payload_digest pb) expected)
+        payloads)
+
 let () =
   Alcotest.run "pbft"
     [
@@ -1406,6 +1502,14 @@ let () =
         ] );
       ( "fuzz",
         [ qcheck prop_payload_roundtrip; qcheck prop_decoder_never_crashes ] );
+      ( "digest auth",
+        [
+          Alcotest.test_case "check_auth rejects a one-byte change" `Quick
+            test_check_auth_one_byte;
+          Alcotest.test_case "verify_reply_auth rejects a one-byte change" `Quick
+            test_verify_reply_auth_one_byte;
+          qcheck prop_payload_digest_memo;
+        ] );
       ( "adversarial",
         [
           Alcotest.test_case "spoofed messages ignored" `Slow test_spoofed_messages_ignored;
