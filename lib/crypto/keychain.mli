@@ -23,11 +23,11 @@ val verifier_of : signer -> verifier
 
 val sign : signer -> string -> string
 (** Signature bytes over the message. Protocol messages sign their 32-byte
-    payload digest ([Pbft.Message.payload_digest]), not the payload. *)
+    auth digest ([Pbft.Message.auth_digest]), not the payload. *)
 
 val verify : verifier -> string -> signature:string -> bool
 [@@trust.sanitizer
-  "public-key signature check: true vouches for the signed bytes (a payload digest)"]
+  "public-key signature check: true vouches for the signed bytes (an auth digest, Message.auth_digest)"]
 (** [verify v d ~signature] checks [signature] over [d]; the caller
     recomputes [d] from the payload it received. *)
 

@@ -3,12 +3,12 @@ type key = string
 let tag_size = 8
 
 (* In the simulator, sender and receiver live in one process. Protocol
-   messages are tagged over their payload digest, and the message layer's
-   digest memo hands the receiver the *physically same* digest string the
-   sender just tagged. A small direct-mapped memo therefore turns almost
-   every verification into a lookup of the sender's computation — without
-   changing a single verdict (the memo is keyed on the exact (key,
-   message) pair and stores a pure function's result). *)
+   messages are tagged over a 32-byte auth digest, which the receiver
+   recomputes from the payload it got. A small direct-mapped memo
+   confirmed by content equality therefore turns almost every
+   verification into a lookup of the sender's computation — without
+   changing a single verdict (a hit needs the exact (key, message) pair,
+   and the memo stores a pure function's result). *)
 type slot = { sl_key : key; sl_msg : string; sl_tag : string }
 
 let slots = 8192
@@ -35,9 +35,7 @@ let slot_index ~key msg =
 let compute ~key msg =
   let idx = slot_index ~key msg in
   match Array.unsafe_get cache idx with
-  (* Pointer equality on purpose: the cache is a best-effort memo and a
-     miss on an equal-but-distinct string only costs a recompute. *)
-  | Some s when ((s.sl_msg == msg) [@detlint.allow physical_eq]) && String.equal s.sl_key key ->
+  | Some s when String.equal s.sl_msg msg && String.equal s.sl_key key ->
     s.sl_tag
   | _ ->
     let tag = String.sub (Hmac.mac ~key msg) 0 tag_size in

@@ -204,9 +204,11 @@ let finalize ctx =
    block + schedule per call. Single-domain only, like [hashed]. *)
 let scratch = init ()
 
-let digest msg =
+let digest_sub b ~pos ~len =
   reset scratch;
-  feed scratch msg;
+  feed_bytes scratch b ~pos ~len;
   finalize scratch
+
+let digest msg = digest_sub (Bytes.unsafe_of_string msg) ~pos:0 ~len:(String.length msg)
 
 let hex msg = Util.Hexdump.of_string (digest msg)

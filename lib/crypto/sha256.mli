@@ -10,6 +10,10 @@ val digest_size : int
 val digest : string -> string
 (** [digest msg] is the 32-byte SHA-256 of [msg]. *)
 
+val digest_sub : bytes -> pos:int -> len:int -> string
+(** [digest_sub b ~pos ~len] is the SHA-256 of bytes [pos .. pos+len-1]
+    of [b], hashed in place (no copy of the range). *)
+
 val hex : string -> string
 (** Convenience: lowercase hex of [digest msg]. *)
 

@@ -32,8 +32,8 @@ let mutations t = t.n_mutations
 (* Authentication for forged / rewritten messages. The adversary is a
    real group member, so it holds a legitimate signing key and (in MAC
    mode) the per-peer session keys it chose — its lies verify. *)
-let reauth t ~dst pb =
-  let d = Message.payload_digest pb in
+let reauth t ~dst payload =
+  let d = Message.auth_digest payload in
   if t.cfg.use_macs then begin
     match Replica.session_key_for t.replica dst with
     | Some k -> Message.Authenticated (Crypto.Authenticator.compute ~keys:[ (dst, k) ] d)
@@ -53,7 +53,7 @@ let rewrite t ~dst wire f =
     | Some payload' ->
       t.n_mutations <- t.n_mutations + 1;
       let pb = Message.payload_bytes payload' in
-      Message.encode_wire ~payload_bytes:pb (reauth t ~dst pb)
+      Message.encode_wire ~payload_bytes:pb (reauth t ~dst payload')
   end
 
 (* Equivocation payload: swap the first two batch items. Item order is
@@ -119,7 +119,7 @@ let inject_garbage_view_change t =
   List.iter
     (fun peer ->
       if peer <> id then begin
-        let wire = Message.encode_wire ~payload_bytes:pb (reauth t ~dst:peer pb) in
+        let wire = Message.encode_wire ~payload_bytes:pb (reauth t ~dst:peer payload) in
         Simnet.Net.send t.net ~label ~src:id ~dst:peer wire
       end)
     (replica_addrs t)
@@ -148,7 +148,7 @@ let install ~net ~cfg replica behavior =
       peers
   | Corrupt_macs ->
     (* Flip a payload byte while keeping the stale authenticator: every
-       MAC in the vector (and any signature) covers the payload digest,
+       MAC in the vector (and any signature) covers the auth digest,
        so no receiver can validate anything this replica sends — the §2.3
        pathology, by malice rather than lost session keys. (Corrupting
        the trailer instead would only break the last peer's MAC entry.) *)

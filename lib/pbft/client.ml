@@ -76,7 +76,7 @@ let replica_ids t = List.init t.cfg.n (fun i -> i)
 
 let send_payload t ~dst payload ~signed =
   let pb = Message.payload_bytes payload in
-  let d = Message.payload_digest pb in
+  let d = Message.auth_digest payload in
   let auth, auth_cost =
     if signed || not t.cfg.use_macs then
       (Message.Signed (Crypto.Keychain.sign t.signer d), t.costs.sign)
@@ -98,7 +98,7 @@ let send_payload t ~dst payload ~signed =
    one datagram per replica. *)
 let multicast_payload t payload ~signed =
   let pb = Message.payload_bytes payload in
-  let d = Message.payload_digest pb in
+  let d = Message.auth_digest payload in
   let auth, auth_cost =
     if signed || not t.cfg.use_macs then
       (Message.Signed (Crypto.Keychain.sign t.signer d), t.costs.sign)
@@ -393,7 +393,7 @@ let leave t =
 (* Receive path.                                                        *)
 
 let verify_reply_auth t ~src (msg : Message.t) =
-  let d = Message.digest_of_payload msg.payload in
+  let d = Message.auth_digest msg.payload in
   match msg.auth with
   | Message.No_auth -> (0.0, false)
   | Message.Signed s -> begin

@@ -68,8 +68,8 @@ val invoke_attested :
 
 val verify_reply_auth : t -> src:int -> Message.t -> float * bool
 (** Verify a message received from replica [src]: its signature, or this
-    client's tag in its authenticator, each over the payload digest
-    ({!Message.payload_digest}). Returns the virtual CPU cost to charge
+    client's tag in its authenticator, each over the auth digest
+    ({!Message.auth_digest}). Returns the virtual CPU cost to charge
     with the verdict. *)
 
 val completed : t -> int

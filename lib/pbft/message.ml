@@ -410,13 +410,14 @@ let dec_auth r =
 (* --- hot-path memo caches ---
 
    Every cache below memoizes a *pure* function of an immutable value,
-   probed by physical equality, so a hit returns exactly what a fresh
-   computation would. They change host time only: virtual costs are
+   probed by physical or content equality, so a hit returns exactly what
+   a fresh computation would. They change host time only: virtual costs are
    charged by the replica/client layers regardless of whether the host
    recomputed the bytes. Single-domain, like the simulator itself. *)
 
 (* Bounded ring of the most recent [n] key→value pairs, probed newest
-   first by physical equality. *)
+   first by physical equality. [find] returns the binding as stored, so a
+   probe allocates nothing (no closure, no fresh option). *)
 module Ring = struct
   type ('k, 'v) t = { slots : ('k * 'v) option array; mutable next : int }
 
@@ -424,16 +425,19 @@ module Ring = struct
 
   let find t key =
     let n = Array.length t.slots in
-    let rec probe i remaining =
-      if remaining = 0 then None
-      else
-        match t.slots.(i) with
-        (* Pointer equality on purpose: best-effort memo keyed by the
-           exact wire string instance. *)
-        | Some (k, v) when ((k == key) [@detlint.allow physical_eq]) -> Some v
-        | _ -> probe (if i = 0 then n - 1 else i - 1) (remaining - 1)
-    in
-    probe ((t.next + n - 1) mod n) n
+    let i = ref ((t.next + n - 1) mod n) and remaining = ref n and found = ref None in
+    while !remaining > 0 do
+      match Array.unsafe_get t.slots !i with
+      (* Pointer equality on purpose: best-effort memo keyed by the
+         exact wire string instance. *)
+      | Some (k, _) as binding when ((k == key) [@detlint.allow physical_eq]) ->
+        found := binding;
+        remaining := 0
+      | _ ->
+        i := if !i = 0 then n - 1 else !i - 1;
+        decr remaining
+    done;
+    !found
 
   let add t key v =
     t.slots.(t.next) <- Some (key, v);
@@ -447,7 +451,7 @@ let pb_cache : (payload, string) Ring.t = Ring.create 64
 
 let payload_bytes p =
   match Ring.find pb_cache p with
-  | Some s -> s
+  | Some (_, s) -> s
   | None ->
     let s = Util.Codec.encode enc_payload p in
     Ring.add pb_cache p s;
@@ -485,7 +489,7 @@ let decode_fresh s =
              encoded in-process (guarded by content equality, so a forged
              lookalike wire cannot alias). *)
           match Ring.find wire_pb s with
-          | Some pb0 when String.equal pb0 pb -> pb0
+          | Some (_, pb0) when String.equal pb0 pb -> pb0
           | _ -> pb
         in
         let auth = dec_auth r in
@@ -499,64 +503,135 @@ let decode_fresh s =
 
 let decode s =
   match Ring.find decode_ring s with
-  | Some r -> r
+  | Some (_, r) -> r
   | None ->
     let r = decode_fresh s in
     Ring.add decode_ring s r;
     r
 
-(* payload bytes → SHA-256: what every MAC tag and signature covers.
-   Direct-mapped and confirmed by content equality, so a hit is always the
-   digest of exactly these bytes; a receiver handed the sender's physical
-   string by [wire_pb] hits without rehashing. The index mixes the leading
-   header bytes (message kind, view, sequence/client numbers): length
-   alone would put every same-size request in one slot. The memo keeps
-   its payloads alive, so it is small, and payloads over 4 KiB (coalesced
-   batches, state pages) may only use the first 32 slots: given all 512
-   they raised the failover workload's peak heap by a tenth. *)
-let pb_digest_slots = 512
-let pb_digest_big_slots = 32
-let pb_digest_big = 4096
-let pb_digest_cache : (string * digest) option array = Array.make pb_digest_slots None
+(* Direct-mapped string → SHA-256 memo, confirmed by content equality, so
+   a hit is always the digest of exactly these bytes. The index mixes the
+   length and the leading bytes (for a payload: message kind, view,
+   sequence/client numbers); length alone would put every same-size
+   request in one slot. A memo keeps its strings alive, so strings over
+   4 KiB (coalesced batches and results, state pages) may only use the
+   first [big_slots] slots. *)
+module Digest_memo = struct
+  type t = { cells : (string * digest) option array; big_slots : int }
 
-let pb_digest_slot pb =
-  let n = String.length pb in
-  let h = ref (n * 0x9e3779b1) in
-  for i = 0 to Int.min n 32 - 1 do
-    h := (!h * 31) lxor Char.code (String.unsafe_get pb i)
-  done;
-  let slots = if n > pb_digest_big then pb_digest_big_slots else pb_digest_slots in
-  (!h lxor (!h lsr 17)) land (slots - 1)
+  let big = 4096
+  let create ~slots ~big_slots = { cells = Array.make slots None; big_slots }
 
-let payload_digest pb =
-  let idx = pb_digest_slot pb in
-  match Array.unsafe_get pb_digest_cache idx with
-  | Some (s, d) when String.equal s pb -> d
-  | _ ->
-    let d = Crypto.Sha256.digest pb in
-    Array.unsafe_set pb_digest_cache idx (Some (pb, d));
-    d
+  let slot t s =
+    let n = String.length s in
+    let h = ref (n * 0x9e3779b1) in
+    for i = 0 to Int.min n 32 - 1 do
+      h := (!h * 31) lxor Char.code (String.unsafe_get s i)
+    done;
+    let slots = if n > big then t.big_slots else Array.length t.cells in
+    (!h lxor (!h lsr 17)) land (slots - 1)
 
-let digest_of_payload p = payload_digest (payload_bytes p)
+  let digest t s =
+    let idx = slot t s in
+    match Array.unsafe_get t.cells idx with
+    | Some (s0, d) when String.equal s0 s -> d
+    | _ ->
+      let d = Crypto.Sha256.digest s in
+      Array.unsafe_set t.cells idx (Some (s, d));
+      d
+end
+
+(* payload bytes → SHA-256. A receiver handed the sender's physical
+   string by [wire_pb] hits without rehashing. Given all 512 slots, big
+   payloads raised the failover workload's peak heap by a tenth. *)
+let pb_memo = Digest_memo.create ~slots:512 ~big_slots:32
+let payload_digest pb = Digest_memo.digest pb_memo pb
 
 (* request → digest, direct-mapped on (client, id) and confirmed by
-   physical equality. The same request body is digested at ≥6 sites per
-   request lifetime (batching, pre-prepare handling, entry replay); the
-   decode ring makes all replicas share one physical copy, so each body
-   is hashed once per node instead. *)
-let rq_digest_slots = 4096
-let rq_digest_cache : (request * digest) option array = Array.make rq_digest_slots None
+   content equality. The same request body is digested at ≥6 sites per
+   request lifetime (authentication, batching, pre-prepare handling,
+   entry replay), and a replica's decoded copy hits the entry its client
+   made when it authenticated the request, so each body is hashed once
+   per cluster. A hit from another record takes over the slot, so the
+   older copy (typically the client's) can be collected. The slot also
+   keeps the request's auth digest once one is asked for. *)
+type rq_slot = { mutable rs_rq : request; mutable rs_digest : digest; mutable rs_auth : digest }
 
-let request_digest rq =
+let rq_digest_slots = 4096
+let rq_digest_cache : rq_slot option array = Array.make rq_digest_slots None
+
+let same_request a b =
+  a.rq_client = b.rq_client
+  && a.rq_id = b.rq_id
+  && Bool.equal a.rq_readonly b.rq_readonly
+  (* [=] at type int64 compiles to an unboxed compare; Int64.equal boxes. *)
+  && Int64.bits_of_float a.rq_timestamp = Int64.bits_of_float b.rq_timestamp
+  && String.equal a.rq_op b.rq_op
+
+let request_slot rq =
   let idx = ((rq.rq_client * 0x9e3779b1) lxor rq.rq_id) land (rq_digest_slots - 1) in
   match Array.unsafe_get rq_digest_cache idx with
-  (* Pointer equality on purpose: a miss on an equal-but-distinct request
-     record only costs a recompute of the same digest. *)
-  | Some (r, d) when ((r == rq) [@detlint.allow physical_eq]) -> d
-  | _ ->
-    let d = Crypto.Sha256.digest ("req|" ^ Util.Codec.encode enc_request rq) in
-    Array.unsafe_set rq_digest_cache idx (Some (rq, d));
-    d
+  | Some s when same_request s.rs_rq rq ->
+    s.rs_rq <- rq;
+    s
+  | cur -> (
+    let w = W.create ~capacity:(String.length rq.rq_op + 40) () in
+    W.string w "req|";
+    enc_request w rq;
+    let d = Crypto.Sha256.digest (W.contents w) in
+    match cur with
+    | Some s ->
+      s.rs_rq <- rq;
+      s.rs_digest <- d;
+      s.rs_auth <- "";
+      s
+    | None ->
+      let s = { rs_rq = rq; rs_digest = d; rs_auth = "" } in
+      Array.unsafe_set rq_digest_cache idx (Some s);
+      s)
+
+let request_digest rq = (request_slot rq).rs_digest
+
+(* --- auth digest ---
+
+   What every tag and signature covers. Large request and reply bodies
+   are authenticated through a digest of the body that is shared across
+   the cluster — the request's [req|] digest, which replicas need for
+   batching anyway, and a memoized digest of the reply result, which the
+   n replicas compute over equal bytes — so each big body is hashed once
+   per cluster instead of once per node. Both structured preimages start
+   with 'r' (0x72), never a payload tag (1–24), and have fixed lengths,
+   so no preimage of one form is a preimage of another. They are built in
+   [auth_scratch] after the sub-digest is computed. The result memo is
+   bounded like [pb_memo]: with only 4 slots for results over 4 KiB, the
+   failover workload's coalesced results evicted one another before all
+   replicas had asked, and it hashed 1.6x the bytes per op. *)
+let auth_big_body = 256
+let result_memo = Digest_memo.create ~slots:512 ~big_slots:32
+let auth_scratch = Bytes.create 69
+
+let set_u64 pos v = Bytes.set_int64_le auth_scratch pos (Int64.of_int v)
+
+let auth_digest = function
+  | Request_msg rq when String.length rq.rq_op >= auth_big_body ->
+    let s = request_slot rq in
+    if String.equal s.rs_auth "" then begin
+      Bytes.blit_string "rqa|" 0 auth_scratch 0 4;
+      Bytes.blit_string s.rs_digest 0 auth_scratch 4 32;
+      s.rs_auth <- Crypto.Sha256.digest_sub auth_scratch ~pos:0 ~len:36
+    end;
+    s.rs_auth
+  | Reply r when Option.is_none r.r_partial && String.length r.r_result >= auth_big_body ->
+    let rd = Digest_memo.digest result_memo r.r_result in
+    Bytes.blit_string "rep|" 0 auth_scratch 0 4;
+    set_u64 4 r.r_view;
+    set_u64 12 r.r_client;
+    set_u64 20 r.r_id;
+    set_u64 28 r.r_replica;
+    Bytes.set auth_scratch 36 (if r.r_tentative then '\001' else '\000');
+    Bytes.blit_string rd 0 auth_scratch 37 32;
+    Crypto.Sha256.digest_sub auth_scratch ~pos:0 ~len:69
+  | p -> payload_digest (payload_bytes p)
 
 let batch_item_digest = function
   | Full rq -> request_digest rq
@@ -570,7 +645,7 @@ let batch_cache : (batch_item list, digest) Ring.t = Ring.create 32
 
 let batch_digest items =
   match Ring.find batch_cache items with
-  | Some d -> d
+  | Some (_, d) -> d
   | None ->
     let d =
       Crypto.Sha256.digest ("batch|" ^ String.concat "" (List.map batch_item_digest items))

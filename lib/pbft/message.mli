@@ -122,16 +122,41 @@ val encode_wire : payload_bytes:string -> auth -> string
 
 val payload_digest : string -> digest
 (** [payload_digest pb] is [Crypto.Sha256.digest pb] for payload bytes
-    [pb] — the 32 bytes every MAC tag and signature on a message covers
-    (Castro–Liskov authenticators MAC a digest, not the message). Memoized
-    in a bounded table confirmed by content equality, so each payload is
-    hashed about once per process and a hit is always exact. *)
+    [pb]. Memoized in a bounded table confirmed by content equality, so
+    each payload is hashed about once per process and a hit is always
+    exact. *)
 
-val digest_of_payload : payload -> digest
-(** [payload_digest (payload_bytes p)]. *)
+val auth_digest : payload -> digest
+(** The 32 bytes every MAC tag and signature on a protocol message covers
+    (Castro–Liskov authenticators MAC a digest, not the message). It is a
+    function of the payload's content alone, so sender and receiver
+    compute the same value:
+
+    - a [Request_msg rq] whose [rq_op] is at least 256 bytes:
+      [SHA-256("rqa|" ‖ request_digest rq)] — 36-byte preimage;
+    - a [Reply] with [r_partial = None] whose [r_result] is at least
+      256 bytes: [SHA-256("rep|" ‖ view ‖ client ‖ id ‖ replica ‖
+      tentative ‖ SHA-256(r_result))], the four integers as 8-byte
+      little-endian words and [tentative] as one byte 0 or 1 — 69-byte
+      preimage;
+    - anything else: [payload_digest (payload_bytes p)].
+
+    Each form covers every field of its payload. Both structured
+    preimages start with ['r'] (0x72), which is never a payload tag
+    (1–24), and have fixed, different lengths, so no preimage of one form
+    is a preimage of another. The big bodies inside them are hashed once
+    per cluster, not once per node: the request digest is memoized as
+    {!request_digest} describes, and the result digest in a 512-slot
+    table confirmed by content equality (results over 4 KiB may use only
+    32 slots), so the n replicas' equal results hash once. Session-key
+    and key-request sends sign [payload_digest] directly, which is the
+    same value for those payloads. *)
 
 val request_digest : request -> digest
-(** Digest identifying a request (used in pre-prepares for big requests). *)
+(** Digest identifying a request (used in pre-prepares for big requests):
+    [SHA-256("req|" ‖ encoding of the request)]. Memoized in a 4096-slot
+    table indexed on (client, id) and confirmed by content equality, so a
+    replica's decoded copy hits the entry its client made. *)
 
 val batch_item_digest : batch_item -> digest
 val batch_item_client_id : batch_item -> client_id * int

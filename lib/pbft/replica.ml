@@ -201,10 +201,10 @@ let charge_fanout t ~n ~unit_cost k =
 
 let replica_addrs t = List.init t.cfg.n (fun i -> i)
 
-(* Tags and signatures cover the payload digest (one hash per payload),
-   not the payload bytes themselves. *)
-let make_auth_multicast t payload_bytes =
-  let d = Message.payload_digest payload_bytes in
+(* Tags and signatures cover the payload's auth digest (one hash per
+   payload, one per cluster for a big body), not the payload bytes. *)
+let make_auth_multicast t payload =
+  let d = Message.auth_digest payload in
   if t.cfg.use_macs then begin
     let keys =
       List.filter_map
@@ -218,8 +218,8 @@ let make_auth_multicast t payload_bytes =
   end
   else Message.Signed (Crypto.Keychain.sign t.signer d)
 
-let make_auth_to t payload_bytes dst =
-  let d = Message.payload_digest payload_bytes in
+let make_auth_to t payload dst =
+  let d = Message.auth_digest payload in
   if t.cfg.use_macs then begin
     match Hashtbl.find_opt t.keys_i_chose dst with
     | Some k -> Message.Authenticated (Crypto.Authenticator.compute ~keys:[ (dst, k) ] d)
@@ -243,7 +243,7 @@ let verifier_for_addr t addr =
    charge along with the verdict. Missing MAC session keys are the §2.3
    recovery stall: the message cannot be validated at all. *)
 let check_auth t ~src (msg : Message.t) =
-  let d = Message.digest_of_payload msg.payload in
+  let d = Message.auth_digest msg.payload in
   match msg.auth with
   | Message.No_auth -> (0.0, false)
   | Message.Signed s -> begin
@@ -284,7 +284,7 @@ let send_wire t ~dst ~already_charged ~label ~detail wire =
 
 let send_to t ?(already_charged = false) ~dst payload =
   let pb = Message.payload_bytes payload in
-  let auth = make_auth_to t pb dst in
+  let auth = make_auth_to t payload dst in
   let wire = Message.encode_wire ~payload_bytes:pb auth in
   let label = Message.label payload in
   let detail () = Message.describe payload in
@@ -294,7 +294,7 @@ let send_to t ?(already_charged = false) ~dst payload =
 
 let multicast_replicas t ?(already_charged = false) payload =
   let pb = Message.payload_bytes payload in
-  let auth = make_auth_multicast t pb in
+  let auth = make_auth_multicast t payload in
   (* One authenticator covers every destination (it carries all n−1 MAC
      tags), so the whole wire string is shared across peers; receivers'
      decode collapses to a cache hit on the same physical string. *)
@@ -1654,7 +1654,7 @@ and check_new_view t v =
           (List.init (max_s - min_s) (fun i -> min_s + 1 + i))
       in
       let vc_digests =
-        List.map (fun (src, p) -> (src, Message.digest_of_payload p)) msgs
+        List.map (fun (src, p) -> (src, Message.payload_digest (Message.payload_bytes p))) msgs
       in
       t.view <- v;
       t.in_view_change <- false;

@@ -140,8 +140,8 @@ val membership : t -> Membership.t
 
 val check_auth : t -> src:int -> Message.t -> float * bool
 (** Verify a received message's authentication: its signature, or this
-    replica's tag in its authenticator, each over the payload digest
-    ({!Message.payload_digest}). Returns the virtual CPU cost to charge
+    replica's tag in its authenticator, each over the auth digest
+    ({!Message.auth_digest}). Returns the virtual CPU cost to charge
     with the verdict; false when the sender's key is unknown (§2.3). *)
 
 val install_session_key : t -> addr:int -> Crypto.Mac.key -> unit

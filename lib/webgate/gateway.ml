@@ -204,11 +204,11 @@ module Browser = struct
   let verifier_string t =
     Crypto.Keychain.verifier_to_string (Crypto.Keychain.verifier_of t.signer)
 
-  (* Sign the digest of the canonical native payload bytes (the bridge
-     reconstructs the same bytes, so replicas verify exactly what the
-     browser signed). *)
+  (* Sign the auth digest of the native payload (the bridge reconstructs
+     the same payload, so replicas verify exactly what the browser
+     signed). *)
   let signed_frame t payload json_fields =
-    let signature = Crypto.Keychain.sign t.signer (Pbft.Message.digest_of_payload payload) in
+    let signature = Crypto.Keychain.sign t.signer (Pbft.Message.auth_digest payload) in
     Json.Obj (json_fields @ [ ("sig", Json.of_bytes signature) ])
 
   let send_frame t ~replica frame =

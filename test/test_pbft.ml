@@ -1319,7 +1319,7 @@ let test_tampered_wire_dropped () =
 
 (* --- digest-then-MAC authentication --- *)
 
-(* Tags and signatures cover the payload digest, so a message whose
+(* Tags and signatures cover the auth digest, so a message whose
    payload differs from the authenticated one in a single byte must be
    rejected. The two payloads share their length and leading bytes, which
    also puts them in the same slot of the payload-digest memo. *)
@@ -1336,7 +1336,7 @@ let test_check_auth_one_byte () =
         rq_timestamp = 0.0 }
   in
   let good = request 'a' and bad = request 'b' in
-  let d = Message.digest_of_payload good in
+  let d = Message.auth_digest good in
   let mac =
     Message.Authenticated
       (Crypto.Authenticator.compute ~keys:[ (1, Client.session_key_for cl 1) ] d)
@@ -1371,7 +1371,7 @@ let test_verify_reply_auth_one_byte () =
         r_tentative = false; r_partial = None }
   in
   let good = reply 'a' and bad = reply 'b' in
-  let d = Message.digest_of_payload good in
+  let d = Message.auth_digest good in
   let signed = Message.Signed (Crypto.Keychain.sign (Replica.signer (Cluster.replica cluster 2)) d) in
   let mac =
     Message.Authenticated
@@ -1412,6 +1412,240 @@ let prop_payload_digest_memo =
           && String.equal (Message.payload_digest copy) expected
           && String.equal (Message.payload_digest pb) expected)
         payloads)
+
+(* --- structured auth digests for big bodies --- *)
+
+let flip_at s i =
+  let b = Bytes.of_string s in
+  Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x20));
+  Bytes.to_string b
+
+(* What [Message.auth_digest] must be, computed from the documented
+   layouts with nothing but [Sha256.digest], so the memos are checked
+   against an oracle that has none. *)
+let reference_auth_digest (p : Message.payload) =
+  let sha = Crypto.Sha256.digest in
+  match p with
+  | Message.Request_msg rq when String.length rq.rq_op >= 256 ->
+    let pb = Message.payload_bytes p in
+    (* The payload bytes are the tag byte 1 followed by the request. *)
+    sha ("rqa|" ^ sha ("req|" ^ String.sub pb 1 (String.length pb - 1)))
+  | Message.Reply r when Option.is_none r.r_partial && String.length r.r_result >= 256 ->
+    let b = Bytes.create 37 in
+    Bytes.blit_string "rep|" 0 b 0 4;
+    List.iteri
+      (fun i v -> Bytes.set_int64_le b (4 + (8 * i)) (Int64.of_int v))
+      [ r.r_view; r.r_client; r.r_id; r.r_replica ];
+    Bytes.set b 36 (if r.r_tentative then '\001' else '\000');
+    sha (Bytes.to_string b ^ sha r.r_result)
+  | p -> sha (Message.payload_bytes p)
+
+let big_request ?(op = String.init 1024 (fun i -> Char.chr (97 + (i mod 26)))) ?(readonly = false)
+    ?(timestamp = 3.25) () =
+  Message.Request_msg
+    { rq_client = 1; rq_id = 7; rq_op = op; rq_readonly = readonly; rq_timestamp = timestamp }
+
+let big_reply ?(view = 0) ?(client = 1) ?(id = 7) ?(replica = 2) ?(tentative = false)
+    ?(result = String.init 1024 (fun i -> Char.chr (65 + (i mod 26)))) ?partial () =
+  Message.Reply
+    { r_view = view; r_client = client; r_id = id; r_replica = replica; r_result = result;
+      r_tentative = tentative; r_partial = partial }
+
+(* A big request is authenticated through its request digest; a MAC made
+   for the original must not verify any one-field or one-byte variant. *)
+let test_check_auth_big_request () =
+  let cluster =
+    Cluster.create ~seed:7 ~num_clients:1 ~service:(Service.counter ()) (Config.default ~f:1)
+  in
+  let cl = Cluster.client cluster 0 and rep = Cluster.replica cluster 1 in
+  let caddr = Client.addr cl in
+  let good = big_request () in
+  let op = match good with Message.Request_msg rq -> rq.rq_op | _ -> assert false in
+  let mac =
+    Message.Authenticated
+      (Crypto.Authenticator.compute
+         ~keys:[ (1, Client.session_key_for cl 1) ]
+         (Message.auth_digest good))
+  in
+  let verdict payload = snd (Replica.check_auth rep ~src:caddr { Message.payload; auth = mac }) in
+  Alcotest.(check bool) "original accepted" true (verdict good);
+  List.iter
+    (fun (name, bad) -> Alcotest.(check bool) (name ^ " rejected") false (verdict bad))
+    [
+      ("first op byte flipped", big_request ~op:(flip_at op 0) ());
+      ("middle op byte flipped", big_request ~op:(flip_at op 512) ());
+      ("last op byte flipped", big_request ~op:(flip_at op 1023) ());
+      ("timestamp changed", big_request ~timestamp:3.5 ());
+      ("readonly changed", big_request ~readonly:true ());
+    ]
+
+let test_verify_reply_auth_big_result () =
+  let cluster =
+    Cluster.create ~seed:8 ~num_clients:1 ~service:(Service.counter ()) (Config.default ~f:1)
+  in
+  let cl = Cluster.client cluster 0 in
+  let good = big_reply () in
+  let result = match good with Message.Reply r -> r.r_result | _ -> assert false in
+  let mac =
+    Message.Authenticated
+      (Crypto.Authenticator.compute
+         ~keys:[ (Client.addr cl, Client.session_key_for cl 2) ]
+         (Message.auth_digest good))
+  in
+  let verdict payload = snd (Client.verify_reply_auth cl ~src:2 { Message.payload; auth = mac }) in
+  Alcotest.(check bool) "original accepted" true (verdict good);
+  List.iter
+    (fun (name, bad) -> Alcotest.(check bool) (name ^ " rejected") false (verdict bad))
+    [
+      ("result byte flipped", big_reply ~result:(flip_at result 300) ());
+      ("view changed", big_reply ~view:1 ());
+      ("client changed", big_reply ~client:2 ());
+      ("id changed", big_reply ~id:8 ());
+      ("replica changed", big_reply ~replica:3 ());
+      ("tentative changed", big_reply ~tentative:true ());
+    ]
+
+(* Bodies on either side of the 256-byte threshold verify untouched, and
+   a reply carrying a threshold partial signature is authenticated over
+   its full payload, partial included. *)
+let test_auth_threshold_and_partial () =
+  let cluster =
+    Cluster.create ~seed:9 ~num_clients:1 ~service:(Service.counter ()) (Config.default ~f:1)
+  in
+  let cl = Cluster.client cluster 0 and rep = Cluster.replica cluster 1 in
+  let caddr = Client.addr cl in
+  let request_ok payload =
+    let auth =
+      Message.Authenticated
+        (Crypto.Authenticator.compute
+           ~keys:[ (1, Client.session_key_for cl 1) ]
+           (Message.auth_digest payload))
+    in
+    snd (Replica.check_auth rep ~src:caddr { Message.payload; auth })
+  in
+  let reply_mac payload =
+    Message.Authenticated
+      (Crypto.Authenticator.compute
+         ~keys:[ (caddr, Client.session_key_for cl 2) ]
+         (Message.auth_digest payload))
+  in
+  let reply_ok ?auth payload =
+    let auth = Option.value auth ~default:(reply_mac payload) in
+    snd (Client.verify_reply_auth cl ~src:2 { Message.payload; auth })
+  in
+  List.iter
+    (fun len ->
+      let what = Printf.sprintf "%d-byte" len in
+      Alcotest.(check bool) (what ^ " request verifies") true
+        (request_ok (big_request ~op:(String.make len 'q') ()));
+      Alcotest.(check bool) (what ^ " reply verifies") true
+        (reply_ok (big_reply ~result:(String.make len 'q') ())))
+    [ 255; 256 ];
+  let partial = big_reply ~partial:"partial-signature" () in
+  Alcotest.(check string) "partial reply covers its payload bytes"
+    (Crypto.Sha256.digest (Message.payload_bytes partial))
+    (Message.auth_digest partial);
+  Alcotest.(check bool) "partial reply verifies" true (reply_ok partial);
+  Alcotest.(check bool) "changed partial rejected" false
+    (reply_ok ~auth:(reply_mac partial) (big_reply ~partial:"partial-signaturf" ()))
+
+let gen_auth_payload =
+  QCheck.Gen.(
+    let body =
+      oneof
+        [ string_size (int_range 200 300); string_size (int_range 0 40);
+          string_size (int_range 4090 4200) ]
+    in
+    let small = int_bound 1000 in
+    oneof
+      [
+        map
+          (fun ((client, id, op), (readonly, ts)) ->
+            Message.Request_msg
+              { rq_client = client; rq_id = id; rq_op = op; rq_readonly = readonly;
+                rq_timestamp = ts })
+          (pair (triple small small body) (pair bool (oneofl [ 0.0; -0.0; 1.5; 1e9 ])));
+        map
+          (fun ((view, client, id), (replica, result, (tentative, partial))) ->
+            Message.Reply
+              { r_view = view; r_client = client; r_id = id; r_replica = replica;
+                r_result = result; r_tentative = tentative; r_partial = partial })
+          (pair (triple small small small)
+             (triple (int_bound 6) body (pair bool (opt (string_size (int_bound 8))))));
+      ])
+
+let copy_string s = Bytes.to_string (Bytes.of_string s)
+
+let copy_payload : Message.payload -> Message.payload = function
+  | Message.Request_msg rq -> Message.Request_msg { rq with rq_op = copy_string rq.rq_op }
+  | Message.Reply r -> Message.Reply { r with r_result = copy_string r.r_result }
+  | p -> p
+
+(* The sender's and the receiver's auth digests agree: through an
+   encode/decode round trip, and for a content-equal copy. *)
+let prop_auth_digest_agrees =
+  QCheck.Test.make ~name:"auth digest equal at sender and receiver" ~count:300
+    (QCheck.make ~print:Message.describe gen_auth_payload)
+    (fun p ->
+      let expected = reference_auth_digest p in
+      let received =
+        match Message.decode (Message.encode { Message.payload = p; auth = Message.No_auth }) with
+        | Some m -> m.Message.payload
+        | None -> QCheck.Test.fail_report "round trip failed to decode"
+      in
+      String.equal (Message.auth_digest p) expected
+      && String.equal (Message.auth_digest received) expected
+      && String.equal (Message.auth_digest (copy_payload p)) expected)
+
+(* Requests sharing (client, id) share a request-memo slot; results
+   sharing their length and first 32 bytes share a result-memo slot.
+   Interleaving such lookalikes must never hand back another entry's
+   digest. *)
+let prop_auth_memo_collisions =
+  let gen =
+    QCheck.Gen.(
+      pair (oneofl [ 256; 1024; 5000 ]) (list_size (int_range 2 8) (string_size (return 4))))
+  in
+  QCheck.Test.make ~name:"auth digest memos survive forced slot collisions" ~count:150
+    (QCheck.make ~print:QCheck.Print.(pair int (list string)) gen)
+    (fun (len, tails) ->
+      let body tail = String.make (len - 4) 'p' ^ tail in
+      let payloads =
+        List.concat_map
+          (fun tail ->
+            [
+              big_request ~op:(body tail) ();
+              big_request ~op:(String.make len 'p') ~timestamp:(float_of_int (Hashtbl.hash tail)) ();
+              big_reply ~result:(body tail) ();
+            ])
+          (tails @ List.rev tails)
+        (* Timestamps compare by their bits: 0.0 and -0.0 are different
+           requests. *)
+        @ [ big_request ~op:(body "zero") ~timestamp:0.0 ();
+            big_request ~op:(body "zero") ~timestamp:(-0.0) () ]
+      in
+      List.for_all
+        (fun p ->
+          let expected = reference_auth_digest p in
+          String.equal (Message.auth_digest p) expected
+          && String.equal (Message.auth_digest (copy_payload p)) expected
+          &&
+          match p with
+          | Message.Request_msg rq ->
+            let pb = Message.payload_bytes p in
+            String.equal (Message.request_digest rq)
+              (Crypto.Sha256.digest ("req|" ^ String.sub pb 1 (String.length pb - 1)))
+          | _ -> true)
+        payloads)
+
+(* Domain separation: structured auth preimages start with 'r' (0x72),
+   which no payload encoding may start with. *)
+let prop_r_tag_never_decodes =
+  QCheck.Test.make ~name:"payload bytes starting with 0x72 never decode" ~count:300
+    QCheck.(string_of_size Gen.(int_bound 100))
+    (fun tail ->
+      let pb = "\x72" ^ tail in
+      Option.is_none (Message.decode (Message.encode_wire ~payload_bytes:pb Message.No_auth)))
 
 let () =
   Alcotest.run "pbft"
@@ -1509,6 +1743,15 @@ let () =
           Alcotest.test_case "verify_reply_auth rejects a one-byte change" `Quick
             test_verify_reply_auth_one_byte;
           qcheck prop_payload_digest_memo;
+          Alcotest.test_case "check_auth covers every field of a big request" `Quick
+            test_check_auth_big_request;
+          Alcotest.test_case "verify_reply_auth covers every field of a big reply" `Quick
+            test_verify_reply_auth_big_result;
+          Alcotest.test_case "threshold bodies and partial-signed replies verify" `Quick
+            test_auth_threshold_and_partial;
+          qcheck prop_auth_digest_agrees;
+          qcheck prop_auth_memo_collisions;
+          qcheck prop_r_tag_never_decodes;
         ] );
       ( "adversarial",
         [
